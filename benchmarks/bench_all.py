@@ -216,7 +216,7 @@ def bench_optimizer():
 
 
 def bench_robustness():
-    """Fault-free overhead of retries + checkpointing vs the plain fast path."""
+    """Fault-free overhead of retries + checkpointing vs a plain run."""
     from repro.api.device import Device
     from repro.api.faults import RetryPolicy
     from repro.knowledge.cache import CompiledCircuitCache

@@ -60,7 +60,8 @@ def test_stage_cnf_to_ddnnf(benchmark, ansatz):
 
 
 def test_stage_full_compile(benchmark, ansatz):
-    simulator = KnowledgeCompilationSimulator(seed=1)
+    # cache=None: every round is a real compile, not a process-wide cache hit.
+    simulator = KnowledgeCompilationSimulator(seed=1, cache=None)
     compiled = benchmark(lambda: simulator.compile_circuit(ansatz.circuit))
     benchmark.extra_info["ac_nodes"] = compiled.arithmetic_circuit.num_nodes
 
@@ -95,6 +96,6 @@ def test_stage_upward_downward_pass(benchmark, compiled, resolver):
 
 def test_stage_elision_ablation(benchmark, ansatz):
     """Compile without elision to quantify the size the optimization saves."""
-    simulator = KnowledgeCompilationSimulator(seed=1, elide_internal=False)
+    simulator = KnowledgeCompilationSimulator(seed=1, elide_internal=False, cache=None)
     compiled = benchmark(lambda: simulator.compile_circuit(ansatz.circuit))
     benchmark.extra_info["ac_nodes_without_elision"] = compiled.arithmetic_circuit.num_nodes

@@ -1,27 +1,25 @@
-"""Fault-free overhead of the fault-tolerant execution engine.
+"""Fault-free overhead of the fault-tolerant policy.
 
-The acceptance criterion of the robustness PR: on the 100-point BENCH_api
-workload (shared-topology QAOA sweep, exact sampling on one compile), a
-submission that carries retries *and* durable checkpointing — but suffers no
-faults — must cost at most 10% more wall clock than the plain fast path.
-The engine earns this by
-
-* keeping the inline fast-lane for ``jobs=1`` fault-tolerant submissions
-  (the device's live simulator instances and memoized group master are
-  reused; payloads never pickle), and
-* checkpointing rows as single appends to one write-ahead log (no per-item
-  file create/rename, no per-row fsync — the per-record content
-  fingerprint catches torn writes on load instead).
+On the 100-point BENCH_api workload (shared-topology QAOA sweep, exact
+sampling on one compile), a submission that carries retries *and* durable
+checkpointing — but suffers no faults — must cost at most 10% more wall
+clock than a plain submission.  Both run on the same engine: ``jobs=1``
+submissions take the scheduler's inline loop whatever their policy (the
+device's live simulator instances and memoized group master are reused;
+payloads never pickle), so the difference is the policy's own cost, kept
+small by checkpointing rows as single appends to one write-ahead log (no
+per-item file create/rename, no per-row fsync — the per-record content
+fingerprint catches torn writes on load instead).
 
 Plain and guarded runs are interleaved and each takes the best of several
 attempts, so slow drift in machine load cancels out of the ratio.  Results
-are emitted as machine-readable ``BENCH_robustness.json`` in the repository
-root so CI and later sessions can track the overhead trajectory.
+are emitted as machine-readable ``BENCH_robustness.json`` in the benchmark
+output directory (``BENCH_OUTPUT_DIR``, see ``conftest.py``) so CI can track
+the overhead trajectory.
 """
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ REPETITIONS = 64
 # while keeping the bit-identical-results assertion active.
 MAX_OVERHEAD = float(os.environ.get("BENCH_ROBUSTNESS_MAX_OVERHEAD", "0.10"))
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_robustness.json"
+_BENCH_NAME = "BENCH_robustness.json"
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +77,7 @@ def _best_of_interleaved(runs, *fns):
 
 class TestFaultFreeOverhead:
     def test_retries_and_checkpointing_cost_at_most_10_percent(
-        self, ansatz, sweep_points, tmp_path_factory
+        self, ansatz, sweep_points, tmp_path_factory, bench_output_dir
     ):
         plain_dev = _device()
         guarded_dev = _device()
@@ -124,7 +122,7 @@ class TestFaultFreeOverhead:
 
         overhead = guarded_seconds / max(plain_seconds, 1e-9) - 1.0
         emit_bench(
-            _BENCH_JSON,
+            bench_output_dir / _BENCH_NAME,
             {
                 "benchmark": "fault_tolerant_run_overhead_vs_plain_run",
                 "qubits": NUM_QUBITS,
@@ -144,5 +142,5 @@ class TestFaultFreeOverhead:
         assert overhead <= MAX_OVERHEAD, (
             f"retries+checkpointing cost {overhead:.1%} on the fault-free path "
             f"({plain_seconds:.2f}s plain vs {guarded_seconds:.2f}s guarded); "
-            f"see {_BENCH_JSON.name}"
+            f"see {_BENCH_NAME}"
         )

@@ -1,10 +1,12 @@
 """Declared backend capabilities consumed by the registry and router.
 
 Each backend registers one :class:`BackendCapabilities` record describing
-what it can actually do; :meth:`repro.api.device.Device` validates every
-work item against the record *before* running anything, so capability
-violations surface as :class:`~repro.errors.BackendCapabilityError` with the
-backend and limit named instead of a deep backend-specific failure.
+what it can actually do.  :func:`capability_violation` is the one predicate
+over those records: the router treats its ``None`` as "capable", and
+:meth:`repro.api.device.Device` validates every work item with it *before*
+running anything, so capability violations surface as
+:class:`~repro.errors.BackendCapabilityError` with the backend and limit
+named instead of a deep backend-specific failure.
 
 The records intentionally describe the *existing* backends — they are the
 single source of truth behind ``docs/api.md``'s capability matrix.
@@ -13,7 +15,7 @@ single source of truth behind ``docs/api.md``'s capability matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 #: Noise-support levels, from none to arbitrary Kraus channels.
 NOISE_NONE = "none"
@@ -128,3 +130,64 @@ class BackendCapabilities:
                 else f"16*{1 << self.memory_exponent}^n B"
             ),
         }
+
+
+def capability_violation(
+    caps: BackendCapabilities,
+    num_qubits: int,
+    noisy: bool,
+    observables: Collection[str] = (),
+    clifford: Optional[bool] = None,
+    pauli_noise: bool = False,
+    memory_budget: Optional[int] = None,
+    batch_size: int = 1,
+) -> Optional[str]:
+    """The first declared limit one work item violates on ``caps``, or ``None``.
+
+    ``observables`` names what the item records (``"samples"``,
+    ``"probabilities"``, ``"expectation"``, ``"state_vector"``).  A noisy
+    item needs noise support, noisy samples need ``noisy_sampling``, a noisy
+    output distribution needs ``mixed_state``, and a noisy item has no state
+    vector.  A noisy item with no observables (a ``simulate`` route) does
+    not need ``mixed_state``: pure-state backends serve it by stochastic
+    unravelling.  ``clifford`` (checked only when known) and
+    ``pauli_noise`` describe the circuit for Clifford-only backends, which
+    take noise only as sampled Pauli mixtures.  ``memory_budget`` bounds the
+    estimated working state of a ``batch_size``-shot batch.
+    """
+    name = caps.name
+    if caps.max_qubits is not None and num_qubits > caps.max_qubits:
+        return (
+            f"backend {name!r} is capped at {caps.max_qubits} qubits "
+            f"(work item has {num_qubits})"
+        )
+    if noisy:
+        if not caps.supports_noise():
+            return (
+                f"backend {name!r} supports ideal circuits only; "
+                "route noisy work to a noise-capable backend"
+            )
+        if "state_vector" in observables:
+            return "noisy circuits have no state vector; request 'probabilities' instead"
+        if "samples" in observables and not caps.noisy_sampling:
+            return f"backend {name!r} cannot sample noisy circuits"
+        if (
+            "probabilities" in observables or "expectation" in observables
+        ) and not caps.mixed_state:
+            return (
+                f"backend {name!r} cannot produce a mixed-state output "
+                "distribution; use density_matrix, trajectory or knowledge_compilation"
+            )
+    if caps.clifford_only and clifford is not None:
+        if not clifford:
+            return f"backend {name!r} accepts Clifford circuits only"
+        if noisy and not (pauli_noise and "samples" in observables):
+            return f"backend {name!r} takes noise only as sampled Pauli mixtures"
+    if memory_budget is not None:
+        estimate = caps.estimated_memory_bytes(num_qubits, batch_size=batch_size)
+        if estimate is not None and estimate > memory_budget:
+            return (
+                f"backend {name!r} needs ~{estimate:,} B for {num_qubits} qubits "
+                f"(> {memory_budget:,} B memory budget)"
+            )
+    return None

@@ -14,11 +14,14 @@ bespoke harnesses:
   Work items are grouped by ``circuit_topology_key`` so one knowledge
   compile serves every rebinding of a topology, and ideal Clifford items
   that share a resolved circuit share one tableau run;
-* **async jobs** — ``run(block=False)`` fans the groups out over a process
-  pool and returns immediately; the :class:`~repro.api.scheduler.Job`
-  handle exposes ``status()`` / ``result()`` / ``cancel()`` and streams
-  partial results.  Item ``i`` always samples with ``seed + i``, so serial
-  and parallel runs of the same batch are bit-identical.
+* **async jobs** — ``run()`` validates its arguments once into a
+  :class:`RunRequest`, plans the (backend, topology) groups and makes one
+  :func:`~repro.api.scheduler.submit` call; ``block=False`` or ``jobs > 1``
+  fans the groups out over worker processes.  The
+  :class:`~repro.api.scheduler.Job` handle exposes ``status()`` /
+  ``result()`` / ``cancel()`` and streams partial results.  Item ``i``
+  always samples with ``seed + i``, so serial and parallel runs of the same
+  batch are bit-identical.
 
 The per-item result *rows* are plain dicts (see
 :class:`~repro.api.results.BatchResult`); the legacy ``ParameterSweep``,
@@ -32,6 +35,7 @@ import math
 import tempfile
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,13 +56,14 @@ from ..knowledge.cache import CompiledCircuitCache
 from ..linalg.tensor_ops import bits_to_index, index_to_bits
 from ..simulator.results import SampleResult
 from ..stabilizer.simulator import DENSE_PROBABILITY_QUBITS
+from .capabilities import capability_violation
 from .costmodel import CostModel
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
 from .registry import REGISTRY, backend_capabilities, create_backend
 from .results import BatchResult
 from .routing import BackendDecision, select_backend
-from .scheduler import Job, completed, submit
+from .scheduler import Job, fault_tolerant, runs_inline, submit
 
 
 def _assemble_batch(sorted_rows: List[Tuple[int, Dict]]) -> BatchResult:
@@ -76,6 +81,114 @@ SweepPoint = Union[None, ParamResolver, Dict[str, float]]
 
 KC_BACKEND = "knowledge_compilation"
 
+#: One work item of a plan group: (index, circuit position, resolver, reason).
+WorkItem = Tuple[int, int, Optional[ParamResolver], str]
+
+
+@dataclass(frozen=True)
+class RunRequest:
+    """One :meth:`Device.run` submission, validated once.
+
+    Every layer below ``run()`` reads this record: planning, the journal
+    manifest, task payloads and the per-item evaluators.  ``item_timeout``
+    and ``predicted`` are finalized after routing (``"auto"`` resolves from
+    the routed backends; ``predicted`` maps item index to the cost model's
+    predicted seconds).
+    """
+
+    observables: Tuple[str, ...]
+    repetitions: int
+    seed: Optional[int]
+    jobs: int
+    block: bool
+    qubit_order: Optional[Tuple[Qubit, ...]]
+    initial_bits: Optional[Tuple[int, ...]]
+    initial_state: int
+    objective: Any
+    sampling: str
+    retry: Optional[RetryPolicy]
+    item_timeout: Union[None, float, str]
+    checkpoint: Optional[str]
+    job_id: Optional[str]
+    on_error: str
+    memory_budget: Optional[int]
+    fault_injector: Optional[FaultInjector]
+    predicted: Dict[int, float] = field(default_factory=dict)
+
+    @classmethod
+    def validated(
+        cls,
+        observables: Optional[Sequence[str]],
+        repetitions: int,
+        qubit_order: Optional[Sequence[Qubit]],
+        initial_bits: Optional[Sequence[int]],
+        **options: Any,
+    ) -> "RunRequest":
+        """Check ``run()``'s arguments and normalize them into a request."""
+        if observables is None:
+            observables = ("samples",) if repetitions > 0 else ("probabilities",)
+        observables = list(observables)
+        if repetitions and "samples" not in observables:
+            observables.append("samples")
+        unknown = set(observables) - set(OBSERVABLES)
+        if unknown:
+            raise InvalidRequestError(f"unknown observables: {sorted(unknown)}")
+        if "expectation" in observables and options["objective"] is None:
+            raise InvalidRequestError("the 'expectation' observable requires an objective callable")
+        if "samples" in observables and repetitions <= 0:
+            raise InvalidRequestError("the 'samples' observable requires repetitions > 0")
+        sampling = options["sampling"]
+        if sampling not in ("auto", "exact", "gibbs"):
+            raise InvalidRequestError(f"sampling must be 'auto', 'exact' or 'gibbs', got {sampling!r}")
+        if options["on_error"] not in ("raise", "partial"):
+            raise InvalidRequestError(
+                f"on_error must be 'raise' or 'partial', got {options['on_error']!r}"
+            )
+        item_timeout = options["item_timeout"]
+        if isinstance(item_timeout, str) and item_timeout != "auto":
+            raise InvalidRequestError(
+                f"item_timeout must be a number, None or 'auto', got {item_timeout!r}"
+            )
+        if options["job_id"] is not None and options["checkpoint"] is None:
+            raise InvalidRequestError("job_id requires a checkpoint directory")
+        return cls(
+            observables=tuple(observables),
+            repetitions=repetitions,
+            qubit_order=tuple(qubit_order) if qubit_order is not None else None,
+            initial_bits=tuple(initial_bits) if initial_bits is not None else None,
+            initial_state=bits_to_index(initial_bits) if initial_bits else 0,
+            **options,
+        )
+
+    def manifest(self) -> Dict[str, Any]:
+        """The ``run()`` keyword arguments a journal stores for a resume."""
+        return {name: getattr(self, name) for name in _MANIFEST_FIELDS}
+
+
+#: The :class:`RunRequest` fields a journal manifest replays on resume.
+_MANIFEST_FIELDS = (
+    "observables", "repetitions", "seed", "jobs", "qubit_order", "initial_bits",
+    "objective", "sampling", "retry", "item_timeout", "on_error", "memory_budget",
+)
+
+
+@dataclass
+class _Group:
+    """One plan entry: the items routed to ``backend`` that share ``topology``."""
+
+    backend: str
+    topology: str
+    circuits: List[Circuit] = field(default_factory=list)
+    items: List[WorkItem] = field(default_factory=list)
+    positions: Dict[int, int] = field(default_factory=dict)
+
+    def add(self, index: int, circuit: Circuit, resolver, reason: str) -> None:
+        pos = self.positions.get(id(circuit))
+        if pos is None:
+            pos = self.positions[id(circuit)] = len(self.circuits)
+            self.circuits.append(circuit)
+        self.items.append((index, pos, resolver, reason))
+
 
 def as_resolver(point: SweepPoint) -> Optional[ParamResolver]:
     """Normalize one parameter point (``None`` / mapping / resolver) to a resolver."""
@@ -92,19 +205,18 @@ def _resolver_key(resolver: Optional[ParamResolver]) -> Optional[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# Work-item evaluation.  Module-level so process-pool workers can run the
-# exact same code path as the inline (serial) engine.
+# Work-item evaluation.  Module-level so worker processes can run the
+# exact same code path as the inline loop.
 # ----------------------------------------------------------------------
-def _item_seed(ctx: Dict[str, Any], index: int) -> Optional[int]:
+def _item_seed(request: RunRequest, index: int) -> Optional[int]:
     """Deterministic per-item seed: ``seed + index`` (``None`` stays ``None``)."""
-    return None if ctx["seed"] is None else ctx["seed"] + index
+    return None if request.seed is None else request.seed + index
 
 
-def _maybe_inject_fault(ctx: Dict[str, Any], index: int) -> None:
+def _maybe_inject_fault(request: RunRequest, index: int, attempt: int) -> None:
     """Chaos hook: let a configured fault injector fail this (item, attempt)."""
-    injector = ctx.get("fault_injector")
-    if injector is not None:
-        injector(index, ctx.get("attempt", 0))
+    if request.fault_injector is not None:
+        request.fault_injector(index, attempt)
 
 
 def _base_row(index: int, resolver: Optional[ParamResolver], backend: str, reason: str) -> Dict:
@@ -116,7 +228,7 @@ def _base_row(index: int, resolver: Optional[ParamResolver], backend: str, reaso
     }
 
 
-def _finish_row(row: Dict, index: int, ctx: Dict, started: float) -> Dict:
+def _finish_row(row: Dict, index: int, request: RunRequest, started: float) -> Dict:
     """Attach per-item timing telemetry: measured, and (cost mode) predicted.
 
     ``elapsed_seconds`` is a pure observation — nothing downstream branches
@@ -124,9 +236,8 @@ def _finish_row(row: Dict, index: int, ctx: Dict, started: float) -> Dict:
     *result* field while mispredictions remain visible per row.
     """
     row["elapsed_seconds"] = time.perf_counter() - started
-    predicted = ctx.get("predicted")
-    if predicted is not None and index in predicted:
-        row["predicted_seconds"] = predicted[index]
+    if index in request.predicted:
+        row["predicted_seconds"] = request.predicted[index]
     return row
 
 
@@ -148,12 +259,12 @@ def _sample_from_probabilities(
     return SampleResult(qubits, [index_to_bits(int(i), len(qubits)) for i in indices])
 
 
-def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, ctx: Dict) -> Dict:
+def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, request: RunRequest) -> Dict:
     """One item on the knowledge-compilation backend (shared compile)."""
-    observables = ctx["observables"]
+    observables = request.observables
     row = _base_row(index, resolver, KC_BACKEND, reason)
     probabilities: Optional[np.ndarray] = None
-    sampling = ctx["sampling"]
+    sampling = request.sampling
     exact = (
         "samples" in observables
         and sampling in ("auto", "exact")
@@ -170,34 +281,33 @@ def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, ctx: Dic
     if "probabilities" in observables:
         row["probabilities"] = probabilities
     if "expectation" in observables:
-        row["expectation"] = float(ctx["objective"](probabilities))
+        row["expectation"] = float(request.objective(probabilities))
     if "state_vector" in observables:
         row["state_vector"] = compiled.state_vector(resolver)
     if "samples" in observables:
-        seed = _item_seed(ctx, index)
+        seed = _item_seed(request, index)
         if exact:
             rng = sim._rng(seed)
             _record_samples(
                 row,
                 _sample_from_probabilities(
-                    compiled.qubits, probabilities, ctx["repetitions"], rng
+                    compiled.qubits, probabilities, request.repetitions, rng
                 ),
             )
         else:
             _record_samples(
                 row,
-                sim.sample(compiled, ctx["repetitions"], resolver=resolver, seed=seed),
+                sim.sample(compiled, request.repetitions, resolver=resolver, seed=seed),
             )
     return row
 
 
 def _evaluate_stabilizer_item(
-    sim, circuit, index: int, resolver, reason: str, ctx: Dict, shared: Dict
+    sim, circuit, pos: int, index: int, resolver, reason: str, request: RunRequest, shared: Dict
 ) -> Dict:
     """One item on the tableau; ideal items sharing a binding share one run."""
-    observables = ctx["observables"]
+    observables = request.observables
     row = _base_row(index, resolver, "stabilizer", reason)
-    initial_state = ctx["initial_state"]
     if circuit.has_noise:
         # Stochastic Pauli unravelling: every shot draws its own jump
         # pattern, so there is no shared deterministic tableau to reuse.
@@ -205,46 +315,48 @@ def _evaluate_stabilizer_item(
             row,
             sim.sample(
                 circuit,
-                ctx["repetitions"],
+                request.repetitions,
                 resolver=resolver,
-                qubit_order=ctx["qubit_order"],
-                seed=_item_seed(ctx, index),
-                initial_state=initial_state,
+                qubit_order=request.qubit_order,
+                seed=_item_seed(request, index),
+                initial_state=request.initial_state,
             ),
         )
         return row
-    key = (ctx["circuit_pos"], _resolver_key(resolver))
+    key = (pos, _resolver_key(resolver))
     result = shared.get(key)
     if result is None:
-        result = sim.simulate(circuit, resolver, ctx["qubit_order"], initial_state)
+        result = sim.simulate(circuit, resolver, request.qubit_order, request.initial_state)
         shared[key] = result
     if "probabilities" in observables or "expectation" in observables:
         probabilities = result.probabilities()
         if "probabilities" in observables:
             row["probabilities"] = probabilities
         if "expectation" in observables:
-            row["expectation"] = float(ctx["objective"](probabilities))
+            row["expectation"] = float(request.objective(probabilities))
     if "state_vector" in observables:
         row["state_vector"] = result.state_vector
     if "samples" in observables:
-        seed = _item_seed(ctx, index)
+        seed = _item_seed(request, index)
         rng = np.random.default_rng(seed) if seed is not None else sim._rng()
-        _record_samples(row, result.sample(ctx["repetitions"], rng))
+        _record_samples(row, result.sample(request.repetitions, rng))
     return row
 
 
-def _evaluate_generic_item(sim, name: str, circuit, index: int, resolver, reason: str, ctx: Dict) -> Dict:
+def _evaluate_generic_item(
+    sim, name: str, circuit, index: int, resolver, reason: str, request: RunRequest
+) -> Dict:
     """One item on any uniform-interface backend (simulate/sample contract)."""
-    observables = ctx["observables"]
+    observables = request.observables
     row = _base_row(index, resolver, name, reason)
     if any(o in observables for o in ("probabilities", "expectation", "state_vector")):
-        result = sim.simulate(circuit, resolver, ctx["qubit_order"], ctx["initial_state"])
+        result = sim.simulate(circuit, resolver, request.qubit_order, request.initial_state)
         if "probabilities" in observables or "expectation" in observables:
             probabilities = result.probabilities()
             if "probabilities" in observables:
                 row["probabilities"] = probabilities
             if "expectation" in observables:
-                row["expectation"] = float(ctx["objective"](probabilities))
+                row["expectation"] = float(request.objective(probabilities))
         if "state_vector" in observables:
             state = getattr(result, "state_vector", None)
             if state is None:
@@ -258,11 +370,11 @@ def _evaluate_generic_item(sim, name: str, circuit, index: int, resolver, reason
             row,
             sim.sample(
                 circuit,
-                ctx["repetitions"],
+                request.repetitions,
                 resolver=resolver,
-                qubit_order=ctx["qubit_order"],
-                seed=_item_seed(ctx, index),
-                initial_state=ctx["initial_state"],
+                qubit_order=request.qubit_order,
+                seed=_item_seed(request, index),
+                initial_state=request.initial_state,
             ),
         )
     return row
@@ -272,77 +384,72 @@ def _evaluate_items(
     sim,
     backend: str,
     circuits: List[Circuit],
-    items: List[Tuple[int, int, Optional[ParamResolver], str]],
-    ctx: Dict,
+    items: List[WorkItem],
+    request: RunRequest,
+    attempt: int = 0,
     group_master=None,
     memo: Optional[Dict] = None,
 ) -> List[Tuple[int, Dict]]:
     """Evaluate one backend group's items; shared by workers and inline runs.
 
+    ``attempt`` is the task's attempt number (for the fault injector).
     ``group_master`` is an optional pre-compiled :class:`CompiledCircuit`
     for the group's shared topology (the Device's per-topology memo);
     circuits then rebind against it instead of recompiling.  ``memo`` is an
     optional mutable dict shared across calls of the *same group in the same
-    process* (the inline fault-tolerant engine submits one call per item):
-    it carries the per-position rebind / shared-tableau memos that a single
-    batched call keeps in locals, so per-item dispatch stays compile-once.
+    process* (the inline loop runs one task per item): it carries the
+    per-position rebind / shared-tableau memos that a single batched call
+    keeps in locals, so per-item dispatch stays compile-once.
     """
     rows: List[Tuple[int, Dict]] = []
-    if backend == KC_BACKEND:
-        # All circuits in a group share one topology: the first circuit pays
-        # the compile (or cache hit), the rest are rebound views over the
-        # same arithmetic circuit — compile-once even with caching disabled.
-        compiled_by_pos: Dict[int, Any] = {} if memo is None else memo
-        for index, pos, resolver, reason in items:
-            _maybe_inject_fault(ctx, index)
-            compiled = compiled_by_pos.get(pos)
+    # KC: rebound compiles by circuit position; stabilizer: shared tableaux.
+    memo = {} if memo is None else memo
+    for index, pos, resolver, reason in items:
+        _maybe_inject_fault(request, index, attempt)
+        circuit = circuits[pos]
+        if backend == KC_BACKEND:
+            # All circuits in a group share one topology: the first circuit
+            # pays the compile (or cache hit), the rest are rebound views
+            # over the same arithmetic circuit — compile-once even with
+            # caching disabled.
+            compiled = memo.get(pos)
             if compiled is None:
                 if group_master is None:
-                    compiled = sim.compile_circuit(
-                        circuits[pos],
-                        qubit_order=ctx["qubit_order"],
-                        initial_bits=ctx["initial_bits"],
+                    compiled = group_master = sim.compile_circuit(
+                        circuit,
+                        qubit_order=request.qubit_order,
+                        initial_bits=request.initial_bits,
                     )
-                    group_master = compiled
                 else:
                     canonical = canonicalize_circuit(
-                        circuits[pos],
-                        qubit_order=ctx["qubit_order"],
-                        initial_bits=ctx["initial_bits"],
+                        circuit,
+                        qubit_order=request.qubit_order,
+                        initial_bits=request.initial_bits,
                     )
                     compiled = group_master.rebound_for(
-                        circuits[pos], canonical.bindings, ctx["qubit_order"]
+                        circuit, canonical.bindings, request.qubit_order
                     )
-                compiled_by_pos[pos] = compiled
+                memo[pos] = compiled
             started = time.perf_counter()
-            row = _evaluate_kc_item(sim, compiled, index, resolver, reason, ctx)
-            rows.append((index, _finish_row(row, index, ctx, started)))
-        return rows
-    if backend == "stabilizer":
-        shared: Dict = {} if memo is None else memo
-        for index, pos, resolver, reason in items:
-            _maybe_inject_fault(ctx, index)
-            item_ctx = dict(ctx, circuit_pos=pos)
+            row = _evaluate_kc_item(sim, compiled, index, resolver, reason, request)
+        elif backend == "stabilizer":
             started = time.perf_counter()
             row = _evaluate_stabilizer_item(
-                sim, circuits[pos], index, resolver, reason, item_ctx, shared
+                sim, circuit, pos, index, resolver, reason, request, memo
             )
-            rows.append((index, _finish_row(row, index, ctx, started)))
-        return rows
-    for index, pos, resolver, reason in items:
-        _maybe_inject_fault(ctx, index)
-        started = time.perf_counter()
-        row = _evaluate_generic_item(sim, backend, circuits[pos], index, resolver, reason, ctx)
-        rows.append((index, _finish_row(row, index, ctx, started)))
+        else:
+            started = time.perf_counter()
+            row = _evaluate_generic_item(sim, backend, circuit, index, resolver, reason, request)
+        rows.append((index, _finish_row(row, index, request, started)))
     return rows
 
 
 def _pack_chunks(
-    items: List[Tuple[int, int, Optional[ParamResolver], str]],
+    items: List[WorkItem],
     chunk_size: int,
     predicted: Optional[Dict[int, float]],
     cost_target: float,
-) -> List[List[Tuple[int, int, Optional[ParamResolver], str]]]:
+) -> List[List[WorkItem]]:
     """Split one group's items into pool chunks.
 
     With cost-mode predictions covering the group (``cost_target > 0``),
@@ -356,8 +463,8 @@ def _pack_chunks(
         and predicted
         and all(item[0] in predicted for item in items)
     ):
-        chunks: List[List[Tuple[int, int, Optional[ParamResolver], str]]] = []
-        current: List[Tuple[int, int, Optional[ParamResolver], str]] = []
+        chunks: List[List[WorkItem]] = []
+        current: List[WorkItem] = []
         current_cost = 0.0
         for item in items:
             cost = predicted[item[0]]
@@ -376,35 +483,29 @@ def _pack_chunks(
 
 
 def _worker_backend(payload: Dict):
-    """Construct the backend instance inside a pool worker."""
+    """Construct the backend instance inside a worker process."""
     options = dict(payload["backend_options"])
     if payload["backend"] == KC_BACKEND and payload.get("cache_dir"):
         options["cache"] = CompiledCircuitCache(directory=payload["cache_dir"])
-    return create_backend(payload["backend"], seed=payload["ctx"]["seed"], **options)
+    return create_backend(payload["backend"], seed=payload["request"].seed, **options)
 
 
 def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
-    """Process-pool task: hydrate a backend, evaluate one chunk of items."""
-    sim = _worker_backend(payload)
-    ctx = dict(payload["ctx"], attempt=payload.get("attempt", 0))
-    return _evaluate_items(
-        sim, payload["backend"], payload["circuits"], payload["items"], ctx
-    )
+    """Task body: evaluate one chunk of a group's items.
 
-
-def _run_chunk_local(payload: Dict) -> List[Tuple[int, Dict]]:
-    """Inline fault-tolerant task: evaluate items on this process's backend.
-
-    The payload carries live (unpicklable is fine — never crosses a process
-    boundary) simulator instances and the device's memoized group master.
+    Inline tasks carry this process's live backend (``sim``), the device's
+    memoized group master and the group's shared memo — they never cross a
+    process boundary.  Pooled tasks name the backend instead and hydrate a
+    fresh instance inside the worker.
     """
-    ctx = dict(payload["ctx"], attempt=payload.get("attempt", 0))
+    sim = payload["sim"] if "sim" in payload else _worker_backend(payload)
     return _evaluate_items(
-        payload["sim"],
+        sim,
         payload["backend"],
         payload["circuits"],
         payload["items"],
-        ctx,
+        payload["request"],
+        attempt=payload.get("attempt", 0),
         group_master=payload.get("master"),
         memo=payload.get("memo"),
     )
@@ -549,14 +650,14 @@ class Device:
             raise BackendCapabilityError("device('auto') routes per item; ask a fixed device")
         return backend_capabilities(self.backend)
 
-    def _kc_group_master(self, sim, circuit: Circuit, topology: str, ctx: Dict):
+    def _kc_group_master(
+        self, sim, circuit: Circuit, topology: str, qubit_order, initial_bits
+    ):
         """This device's memoized knowledge compile for ``topology``."""
         master = self._kc_masters.get(topology)
         if master is None:
             master = sim.compile_circuit(
-                circuit,
-                qubit_order=ctx["qubit_order"],
-                initial_bits=ctx["initial_bits"],
+                circuit, qubit_order=qubit_order, initial_bits=initial_bits
             )
             self._kc_masters[topology] = master
             while len(self._kc_masters) > 8:
@@ -596,12 +697,10 @@ class Device:
         """
         order = list(qubit_order) if qubit_order is not None else None
         canonical = canonicalize_circuit(circuit, qubit_order=order, initial_bits=initial_bits)
-        ctx = {
-            "qubit_order": order,
-            "initial_bits": list(initial_bits) if initial_bits is not None else None,
-        }
         sim = self.backend_instance(KC_BACKEND)
-        master = self._kc_group_master(sim, circuit, canonical.topology_key, ctx)
+        master = self._kc_group_master(
+            sim, circuit, canonical.topology_key, order, initial_bits
+        )
         return master.rebound_for(circuit, canonical.bindings, order)
 
     def _fallback_name(self, circuit: Circuit, sampling: bool) -> str:
@@ -697,7 +796,12 @@ class Device:
                         self._fallback_name(circuit, sampling=False),
                         f"dense probabilities capped at {DENSE_PROBABILITY_QUBITS} qubits",
                     )
-        self._validate_capabilities(decision.backend, circuit, observables, num_qubits)
+        if decision.backend in REGISTRY:
+            problem = capability_violation(
+                backend_capabilities(decision.backend), num_qubits, circuit.has_noise, observables
+            )
+            if problem is not None:
+                raise BackendCapabilityError(problem)
         return decision
 
     def _memory_guard(
@@ -731,15 +835,14 @@ class Device:
             return decision
         if self.backend == "auto" and "state_vector" not in observables:
             for candidate in ("trajectory",):
-                candidate_caps = backend_capabilities(candidate)
-                candidate_cost = candidate_caps.estimated_memory_bytes(
-                    num_qubits, batch_size=batch
-                )
-                if candidate_cost is not None and candidate_cost > budget:
-                    continue
-                try:
-                    self._validate_capabilities(candidate, circuit, observables, num_qubits)
-                except BackendCapabilityError:
+                if capability_violation(
+                    backend_capabilities(candidate),
+                    num_qubits,
+                    circuit.has_noise,
+                    observables,
+                    memory_budget=budget,
+                    batch_size=batch,
+                ) is not None:
                     continue
                 return BackendDecision(
                     candidate,
@@ -751,43 +854,6 @@ class Device:
             f"({num_qubits} qubits), exceeding the {budget:,} B memory budget, "
             "and no cheaper capable backend exists"
         )
-
-    def _validate_capabilities(
-        self,
-        name: str,
-        circuit: Circuit,
-        observables: Sequence[str],
-        num_qubits: int,
-    ) -> None:
-        if name not in REGISTRY:
-            return  # attached instance with no declared capabilities
-        caps = backend_capabilities(name)
-        if caps.max_qubits is not None and num_qubits > caps.max_qubits:
-            raise BackendCapabilityError(
-                f"backend {name!r} is capped at {caps.max_qubits} qubits "
-                f"(work item has {num_qubits})"
-            )
-        if circuit.has_noise:
-            if not caps.supports_noise():
-                raise BackendCapabilityError(
-                    f"backend {name!r} supports ideal circuits only; "
-                    "route noisy work to a noise-capable backend"
-                )
-            if "state_vector" in observables:
-                raise BackendCapabilityError(
-                    "noisy circuits have no state vector; request 'probabilities' instead"
-                )
-            if "samples" in observables and not caps.noisy_sampling:
-                raise BackendCapabilityError(
-                    f"backend {name!r} cannot sample noisy circuits"
-                )
-            if (
-                "probabilities" in observables or "expectation" in observables
-            ) and not caps.mixed_state:
-                raise BackendCapabilityError(
-                    f"backend {name!r} cannot produce a mixed-state output "
-                    "distribution; use density_matrix, trajectory or knowledge_compilation"
-                )
 
     def _normalize_items(
         self, circuits, params
@@ -866,12 +932,12 @@ class Device:
             own backend instances.
         block:
             ``False`` returns immediately; the job completes in the
-            background (a pool is used even for ``jobs=1``).
+            background (on a worker process even for ``jobs=1``).
         qubit_order, initial_bits:
             Shared qubit order / starting basis state for every item.
         objective:
             Required by ``"expectation"``: maps a probability vector to a
-            scalar.  Must be picklable when the job runs on a pool.
+            scalar.  Must be picklable when the job runs on worker processes.
         sampling:
             ``"auto"`` (default) draws exact samples from the compiled
             distribution on the knowledge-compilation backend when the item
@@ -936,6 +1002,24 @@ class Device:
             pipeline = resolve_pipeline(optimize)
         except ValueError as error:
             raise InvalidRequestError(str(error)) from error
+        request = RunRequest.validated(
+            observables,
+            repetitions,
+            qubit_order,
+            initial_bits,
+            seed=seed,
+            jobs=jobs,
+            block=block,
+            objective=objective,
+            sampling=sampling,
+            retry=retry,
+            item_timeout=item_timeout,
+            checkpoint=checkpoint,
+            job_id=job_id,
+            on_error=on_error,
+            memory_budget=memory_budget,
+            fault_injector=fault_injector,
+        )
         self.last_optimization = None
         if pipeline is not None:
             # Rewrite each distinct circuit exactly once, *before* journal
@@ -956,71 +1040,23 @@ class Device:
                 rewritten_items.append((optimized, resolver))
             items = rewritten_items
             self.last_optimization = tuple(stats)
-        if observables is None:
-            observables = ("samples",) if repetitions > 0 else ("probabilities",)
-        observables = list(observables)
-        if repetitions and "samples" not in observables:
-            observables.append("samples")
-        unknown = set(observables) - set(OBSERVABLES)
-        if unknown:
-            raise InvalidRequestError(f"unknown observables: {sorted(unknown)}")
-        if "expectation" in observables and objective is None:
-            raise InvalidRequestError("the 'expectation' observable requires an objective callable")
-        if "samples" in observables and repetitions <= 0:
-            raise InvalidRequestError("the 'samples' observable requires repetitions > 0")
-        if sampling not in ("auto", "exact", "gibbs"):
-            raise InvalidRequestError(f"sampling must be 'auto', 'exact' or 'gibbs', got {sampling!r}")
-        if on_error not in ("raise", "partial"):
-            raise InvalidRequestError(f"on_error must be 'raise' or 'partial', got {on_error!r}")
-        if isinstance(item_timeout, str) and item_timeout != "auto":
-            raise InvalidRequestError(
-                f"item_timeout must be a number, None or 'auto', got {item_timeout!r}"
-            )
-        if job_id is not None and checkpoint is None:
-            raise InvalidRequestError("job_id requires a checkpoint directory")
-
-        ctx = {
-            "observables": observables,
-            "repetitions": repetitions,
-            "seed": seed,
-            "qubit_order": list(qubit_order) if qubit_order is not None else None,
-            "initial_bits": list(initial_bits) if initial_bits is not None else None,
-            "initial_state": bits_to_index(initial_bits) if initial_bits else 0,
-            "objective": objective,
-            "sampling": sampling,
-            "fault_injector": fault_injector,
-            # Cost-mode telemetry: index -> predicted seconds, attached to
-            # each result row and used to pack pool chunks by cost.
-            "predicted": {},
-        }
 
         # Journal: load checkpointed rows first, so already-finished items
         # are excluded *before* routing and grouping — a fully checkpointed
         # resume performs zero compiles and zero evaluations.
         journal: Optional[JobJournal] = None
         preloaded: Dict[int, Dict] = {}
-        if checkpoint is not None:
-            journal = JobJournal(checkpoint, job_id)
+        if request.checkpoint is not None:
+            journal = JobJournal(request.checkpoint, request.job_id)
             if not journal.has_manifest():
                 journal.write_manifest(
                     {
                         "device": self._config,
-                        "run": {
-                            "circuits": [circuit for circuit, _ in items],
-                            "params": [resolver for _, resolver in items],
-                            "observables": list(observables),
-                            "repetitions": repetitions,
-                            "seed": seed,
-                            "jobs": jobs,
-                            "qubit_order": ctx["qubit_order"],
-                            "initial_bits": ctx["initial_bits"],
-                            "objective": objective,
-                            "sampling": sampling,
-                            "retry": retry,
-                            "item_timeout": item_timeout,
-                            "on_error": on_error,
-                            "memory_budget": memory_budget,
-                        },
+                        "run": dict(
+                            request.manifest(),
+                            circuits=[circuit for circuit, _ in items],
+                            params=[resolver for _, resolver in items],
+                        ),
                     }
                 )
             preloaded = {
@@ -1029,232 +1065,163 @@ class Device:
                 if 0 <= index < len(items)
             }
 
-        # Route every item, then group by (backend, topology): one compile
-        # per distinct topology, one classification-and-canonicalization per
-        # distinct circuit object.  Pre-dispatch rejections (capability or
-        # memory-budget violations) become per-item failure records under
-        # on_error="partial" instead of failing the whole submission.
-        prefailures: List[ItemFailure] = []
-        routed_backends: List[str] = []
-        topology_of: Dict[int, str] = {}
-        groups: "OrderedDict[Tuple[str, str], Dict]" = OrderedDict()
-        for index, (circuit, resolver) in enumerate(items):
-            if index in preloaded:
-                continue
-            num_qubits = (
-                len(ctx["qubit_order"]) if ctx["qubit_order"] is not None else circuit.num_qubits
-            )
-            try:
-                decision = self._route_item(
-                    circuit, resolver, observables, num_qubits, repetitions=repetitions
-                )
-                decision = self._memory_guard(
-                    decision, circuit, observables, num_qubits, memory_budget,
-                    repetitions=repetitions,
-                )
-            except ReproError as error:
-                if on_error == "partial":
-                    prefailures.append(ItemFailure((index,), error, 1))
-                    continue
-                raise
-            if decision.predicted_seconds is not None:
-                ctx["predicted"][index] = decision.predicted_seconds
-            routed_backends.append(decision.backend)
-            topology = topology_of.get(id(circuit))
-            if topology is None:
-                topology = canonicalize_circuit(
-                    circuit, qubit_order=ctx["qubit_order"], initial_bits=ctx["initial_bits"]
-                ).topology_key
-                topology_of[id(circuit)] = topology
-            group = groups.get((decision.backend, topology))
-            if group is None:
-                group = {"circuits": [], "positions": {}, "items": []}
-                groups[(decision.backend, topology)] = group
-            pos = group["positions"].get(id(circuit))
-            if pos is None:
-                pos = len(group["circuits"])
-                group["circuits"].append(circuit)
-                group["positions"][id(circuit)] = pos
-            group["items"].append((index, pos, resolver, decision.reason))
-
+        groups, prefailures, predicted = self._plan(items, request, preloaded)
+        item_timeout = request.item_timeout
         if item_timeout == "auto":
             declared = [
-                backend_capabilities(name).default_item_timeout
-                for name in set(routed_backends)
-                if name in REGISTRY
+                backend_capabilities(group.backend).default_item_timeout
+                for group in groups
+                if group.backend in REGISTRY
             ]
             declared = [value for value in declared if value is not None]
             item_timeout = max(declared) if declared else None
-
-        fault_tolerant = (
-            retry is not None
-            or item_timeout is not None
-            or journal is not None
-            or fault_injector is not None
-            or on_error == "partial"
+        request = replace(request, item_timeout=item_timeout, predicted=predicted)
+        guarded = fault_tolerant(
+            request.retry, request.item_timeout, journal, request.on_error, prefailures
         )
-        if not fault_tolerant:
-            if jobs <= 1 and block:
-                rows: List[Tuple[int, Dict]] = []
-                for (backend, topology), group in groups.items():
-                    sim = self.backend_instance(backend)
-                    master = (
-                        self._kc_group_master(sim, group["circuits"][0], topology, ctx)
-                        if backend == KC_BACKEND
-                        else None
-                    )
-                    rows.extend(
-                        _evaluate_items(
-                            sim, backend, group["circuits"], group["items"], ctx,
-                            group_master=master,
-                        )
-                    )
-                return completed(rows, assemble=_assemble_batch)
-            return self._run_pooled(groups, ctx, jobs=jobs, block=block)
-
-        fault = {
-            "retry": retry,
-            "item_timeout": item_timeout,
-            "on_error": on_error,
-            "journal": journal,
-            "preloaded_rows": list(preloaded.items()),
-            "prefailures": prefailures,
-        }
-        # Item timeouts need a killable worker per item, so they force the
-        # pooled engine even for jobs=1.
-        if jobs <= 1 and block and item_timeout is None:
-            tasks = []
-            for (backend, topology), group in groups.items():
-                sim = self.backend_instance(backend)
-                master = (
-                    self._kc_group_master(sim, group["circuits"][0], topology, ctx)
-                    if backend == KC_BACKEND
-                    else None
-                )
-                # One shared memo per group keeps per-item dispatch
-                # compile-once: rebinds / shared tableaux computed by one
-                # item task are reused by the rest (tasks run serially in
-                # this process).
-                group_memo: Dict = {}
-                for item in group["items"]:
-                    tasks.append(
-                        (
-                            _run_chunk_local,
-                            {
-                                "sim": sim,
-                                "backend": backend,
-                                "circuits": group["circuits"],
-                                "items": [item],
-                                "ctx": ctx,
-                                "master": master,
-                                "memo": group_memo,
-                            },
-                            (item[0],),
-                            f"item-{item[0]}",
-                        )
-                    )
-            return submit(
-                tasks,
-                jobs=1,
-                block=True,
-                assemble=_assemble_batch,
-                retry=retry,
-                on_error=on_error,
-                journal=journal,
-                preloaded_rows=fault["preloaded_rows"],
-                prefailures=prefailures,
-            )
-        return self._run_pooled(groups, ctx, jobs=jobs, block=block, fault=fault)
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, groups, ctx, jobs: int, block: bool, fault=None) -> Job:
-        cleanup: Optional[tempfile.TemporaryDirectory] = None
-        cache_dir: Optional[str] = None
-        kc_groups = [
-            (topology, group)
-            for (backend, topology), group in groups.items()
-            if backend == KC_BACKEND
-        ]
-        kc_options: Dict[str, Any] = {}
-        if kc_groups:
-            sim = self.backend_instance(KC_BACKEND)
-            kc_options = {
-                "order_method": sim.order_method,
-                "elide_internal": sim.elide_internal,
-            }
-            cache = sim.cache
-            if cache is not None and cache.directory is not None:
-                cache_dir = cache.directory
-            else:
-                cleanup = tempfile.TemporaryDirectory(prefix="repro-device-cache-")
-                cache_dir = cleanup.name
-            # Compile (or fetch — the device memoizes per topology) each
-            # distinct topology once in the parent and persist it, so
-            # workers hydrate instead of recompiling.
-            for topology, group in kc_groups:
-                compiled = self._kc_group_master(sim, group["circuits"][0], topology, ctx)
-                persist_compile(
-                    sim,
-                    compiled,
-                    cache_dir,
-                    qubit_order=ctx["qubit_order"],
-                    initial_bits=ctx["initial_bits"],
-                )
-
-        total_items = sum(len(group["items"]) for group in groups.values())
-        chunk_size = max(1, math.ceil(total_items / max(1, jobs * 2)))
-        predicted = ctx.get("predicted") or {}
-        # Cost-aware packing target: split the batch's *predicted* runtime
-        # (not its item count) evenly over ~2 chunks per worker, so one
-        # expensive item no longer drags a whole uniform chunk behind it.
-        cost_target = (
-            sum(predicted.values()) / max(1, jobs * 2) if predicted else 0.0
+        tasks, cleanup = self._tasks(groups, request, guarded)
+        job = submit(
+            tasks,
+            jobs=request.jobs,
+            block=request.block,
+            assemble=_assemble_batch,
+            retry=request.retry,
+            item_timeout=request.item_timeout,
+            on_error=request.on_error,
+            journal=journal,
+            preloaded_rows=list(preloaded.items()),
+            prefailures=prefailures,
         )
-        if fault is not None:
-            # Fault-tolerant pools retry, time out and checkpoint *per item*,
-            # so every task carries exactly one item.
-            chunk_size = 1
-            cost_target = 0.0
-        tasks = []
-        for (backend, _topology), group in groups.items():
-            options = kc_options if backend == KC_BACKEND else self._backend_options.get(backend, {})
-            for chunk in _pack_chunks(group["items"], chunk_size, predicted, cost_target):
-                payload = {
-                    "backend": backend,
-                    "backend_options": options,
-                    "cache_dir": cache_dir if backend == KC_BACKEND else None,
-                    "circuits": group["circuits"],
-                    "items": chunk,
-                    "ctx": ctx,
-                }
-                if fault is not None:
-                    indices = tuple(item[0] for item in chunk)
-                    tasks.append((_run_chunk, payload, indices, f"item-{indices[0]}"))
-                else:
-                    tasks.append((_run_chunk, payload))
-        if fault is not None:
-            job = submit(
-                tasks,
-                jobs=jobs,
-                block=block,
-                assemble=_assemble_batch,
-                retry=fault["retry"],
-                item_timeout=fault["item_timeout"],
-                on_error=fault["on_error"],
-                journal=fault["journal"],
-                preloaded_rows=fault["preloaded_rows"],
-                prefailures=fault["prefailures"],
-            )
-        else:
-            job = submit(tasks, jobs=jobs, block=block, assemble=_assemble_batch)
         if cleanup is not None:
-            if block and job.done():
+            if request.block:
                 cleanup.cleanup()
             else:
                 # Keep the temporary cache alive as long as the job handle;
                 # TemporaryDirectory's finalizer removes it afterwards.
                 job._owned_tmpdir = cleanup
         return job
+
+    # ------------------------------------------------------------------
+    def _plan(
+        self, items, request: RunRequest, skip: Dict[int, Dict]
+    ) -> Tuple[List[_Group], List[ItemFailure], Dict[int, float]]:
+        """Route every item not in ``skip`` and group by (backend, topology).
+
+        One compile per distinct topology, one classification and
+        canonicalization per distinct circuit object.  Pre-dispatch
+        rejections (capability or memory-budget violations) become per-item
+        failure records under ``on_error="partial"`` instead of failing the
+        whole submission.  Also returns the cost model's per-item predicted
+        seconds.
+        """
+        prefailures: List[ItemFailure] = []
+        predicted: Dict[int, float] = {}
+        topology_of: Dict[int, str] = {}
+        groups: Dict[Tuple[str, str], _Group] = {}
+        for index, (circuit, resolver) in enumerate(items):
+            if index in skip:
+                continue
+            num_qubits = (
+                len(request.qubit_order) if request.qubit_order is not None else circuit.num_qubits
+            )
+            try:
+                decision = self._route_item(
+                    circuit, resolver, request.observables, num_qubits,
+                    repetitions=request.repetitions,
+                )
+                decision = self._memory_guard(
+                    decision, circuit, request.observables, num_qubits, request.memory_budget,
+                    repetitions=request.repetitions,
+                )
+            except ReproError as error:
+                if request.on_error == "partial":
+                    prefailures.append(ItemFailure((index,), error, 1))
+                    continue
+                raise
+            if decision.predicted_seconds is not None:
+                predicted[index] = decision.predicted_seconds
+            topology = topology_of.get(id(circuit))
+            if topology is None:
+                topology = canonicalize_circuit(
+                    circuit, qubit_order=request.qubit_order, initial_bits=request.initial_bits
+                ).topology_key
+                topology_of[id(circuit)] = topology
+            group = groups.get((decision.backend, topology))
+            if group is None:
+                group = groups[(decision.backend, topology)] = _Group(decision.backend, topology)
+            group.add(index, circuit, resolver, decision.reason)
+        return list(groups.values()), prefailures, predicted
+
+    def _tasks(
+        self, groups: List[_Group], request: RunRequest, guarded: bool
+    ) -> Tuple[List[Tuple], Optional[tempfile.TemporaryDirectory]]:
+        """The plan's scheduler tasks, plus a temporary cache to clean up.
+
+        Inline tasks carry one item each with this device's live backend,
+        its memoized group master and a per-group memo, so per-item dispatch
+        stays compile-once.  Pooled tasks hydrate their backend inside the
+        worker: every distinct knowledge-compilation topology is compiled
+        (or fetched from the device memo) once here and persisted to a cache
+        directory the workers load instead of recompiling.  Plain pooled
+        jobs pack several items into each task; ``guarded`` (fault-tolerant)
+        jobs retry, time out and checkpoint per item, so their tasks carry
+        one item.
+        """
+        inline = runs_inline(request.jobs, request.block, request.item_timeout)
+        cleanup: Optional[tempfile.TemporaryDirectory] = None
+        cache_dir: Optional[str] = None
+        if not inline and any(group.backend == KC_BACKEND for group in groups):
+            cache = self.backend_instance(KC_BACKEND).cache
+            if cache is not None and cache.directory is not None:
+                cache_dir = cache.directory
+            else:
+                cleanup = tempfile.TemporaryDirectory(prefix="repro-device-cache-")
+                cache_dir = cleanup.name
+
+        jobs = max(1, request.jobs)
+        chunk_size, cost_target = 1, 0.0
+        if not (inline or guarded):
+            total_items = sum(len(group.items) for group in groups)
+            chunk_size = max(1, math.ceil(total_items / (jobs * 2)))
+            # Cost-aware packing target: split the batch's *predicted*
+            # runtime (not its item count) evenly over ~2 chunks per worker,
+            # so one expensive item no longer drags a whole uniform chunk
+            # behind it.
+            cost_target = sum(request.predicted.values()) / (jobs * 2)
+        tasks: List[Tuple] = []
+        for group in groups:
+            backend, master = group.backend, None
+            if backend == KC_BACKEND:
+                sim = self.backend_instance(KC_BACKEND)
+                master = self._kc_group_master(
+                    sim, group.circuits[0], group.topology,
+                    request.qubit_order, request.initial_bits,
+                )
+            lane: Dict[str, Any]
+            if inline:
+                lane = {"sim": self.backend_instance(backend), "master": master, "memo": {}}
+            elif master is not None:
+                persist_compile(
+                    sim, master, cache_dir,
+                    qubit_order=request.qubit_order,
+                    initial_bits=request.initial_bits,
+                )
+                lane = {
+                    "backend_options": {
+                        "order_method": sim.order_method,
+                        "elide_internal": sim.elide_internal,
+                    },
+                    "cache_dir": cache_dir,
+                }
+            else:
+                lane = {"backend_options": self._backend_options.get(backend, {})}
+            for chunk in _pack_chunks(group.items, chunk_size, request.predicted, cost_target):
+                indices = tuple(item[0] for item in chunk)
+                payload = dict(
+                    lane, backend=backend, circuits=group.circuits, items=chunk, request=request
+                )
+                tasks.append((_run_chunk, payload, indices, f"item-{indices[0]}"))
+        return tasks, cleanup
 
     def __repr__(self) -> str:
         if self.backend == "auto":

@@ -43,7 +43,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.clifford import CircuitClass, classify_circuit
 from ..circuits.parameters import ParamResolver
 from ..errors import BackendCapabilityError, CostModelError
-from .capabilities import BackendCapabilities
+from .capabilities import capability_violation
 
 #: Static cheapest-first substitution order used when the requested
 #: fallback cannot serve an item: dense ``2^n`` state first, then batched
@@ -71,39 +71,30 @@ class BackendDecision(NamedTuple):
     predicted_seconds: Optional[float] = None
 
 
-def _is_capable(
-    caps: BackendCapabilities,
+def _can_serve(
+    name: str,
     classification: CircuitClass,
     num_qubits: int,
     sampling: bool,
     repetitions: int = 0,
     memory_budget: Optional[int] = None,
 ) -> bool:
-    """Mirror of ``Device._validate_capabilities`` for pre-dispatch filtering."""
-    if caps.max_qubits is not None and num_qubits > caps.max_qubits:
-        return False
-    if caps.clifford_only:
-        if not classification.clifford:
-            return False
-        if classification.has_noise and not (classification.pauli_noise and sampling):
-            return False
-    if classification.has_noise:
-        if not caps.supports_noise():
-            return False
-        if sampling and not caps.noisy_sampling:
-            return False
-        # The simulate route deliberately does NOT require ``mixed_state``:
-        # pure-state backends serve noisy simulate by stochastic
-        # unravelling (one sampled trajectory per run), and ``Device``
-        # enforces mixed-state output only for the observables that truly
-        # need it ("probabilities"/"expectation").
-    if memory_budget is not None:
-        estimate = caps.estimated_memory_bytes(
-            num_qubits, batch_size=max(1, repetitions)
+    """Whether registered backend ``name`` can take the item, by :func:`capability_violation`."""
+    from .registry import backend_capabilities
+
+    return (
+        capability_violation(
+            backend_capabilities(name),
+            num_qubits,
+            classification.has_noise,
+            ("samples",) if sampling else (),
+            clifford=classification.clifford,
+            pauli_noise=classification.pauli_noise,
+            memory_budget=memory_budget,
+            batch_size=max(1, repetitions),
         )
-        if estimate is not None and estimate > memory_budget:
-            return False
-    return True
+        is None
+    )
 
 
 def capable_backends(
@@ -119,23 +110,17 @@ def capable_backends(
     Sorted by name for determinism; ``candidates`` restricts the pool
     (names are resolved through registry aliases).
     """
-    from .registry import REGISTRY, backend_capabilities
+    from .registry import REGISTRY
 
     classification = classify_circuit(circuit, resolver)
-    num_qubits = circuit.num_qubits
     pool = REGISTRY.names() if candidates is None else [
         REGISTRY.resolve(name) for name in candidates
     ]
     return sorted(
         name
         for name in set(pool)
-        if _is_capable(
-            backend_capabilities(name),
-            classification,
-            num_qubits,
-            sampling,
-            repetitions=repetitions,
-            memory_budget=memory_budget,
+        if _can_serve(
+            name, classification, circuit.num_qubits, sampling, repetitions, memory_budget
         )
     )
 
@@ -150,7 +135,7 @@ def _capable_fallback(
     memory_budget: Optional[int],
 ) -> BackendDecision:
     """``fallback`` if it can serve the item, else the cheapest capable backend."""
-    from .registry import REGISTRY, backend_capabilities
+    from .registry import REGISTRY
 
     num_qubits = circuit.num_qubits
     if fallback not in REGISTRY:
@@ -158,26 +143,12 @@ def _capable_fallback(
         # contract: the caller promised the backend can run the item.
         return BackendDecision(fallback, reason)
     canonical = REGISTRY.resolve(fallback)
-    if _is_capable(
-        backend_capabilities(canonical),
-        classification,
-        num_qubits,
-        sampling,
-        repetitions=repetitions,
-        memory_budget=memory_budget,
-    ):
+    if _can_serve(canonical, classification, num_qubits, sampling, repetitions, memory_budget):
         return BackendDecision(canonical, reason)
     for candidate in FALLBACK_PREFERENCE:
         if candidate == canonical or candidate not in REGISTRY:
             continue
-        if _is_capable(
-            backend_capabilities(candidate),
-            classification,
-            num_qubits,
-            sampling,
-            repetitions=repetitions,
-            memory_budget=memory_budget,
-        ):
+        if _can_serve(candidate, classification, num_qubits, sampling, repetitions, memory_budget):
             return BackendDecision(
                 candidate,
                 f"{reason}; fallback {canonical!r} cannot serve this item "

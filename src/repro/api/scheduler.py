@@ -1,10 +1,23 @@
-"""Async job scheduling over a process pool, with optional fault tolerance.
+"""Async job scheduling: one engine, run inline or over worker processes.
 
 The execution layer behind :meth:`repro.api.device.Device.run` and the
 experiment harness.  A :class:`Job` owns a set of *tasks* — picklable
 ``(function, payload)`` pairs where ``function`` is module-level and returns
-``[(item_index, row), ...]`` — and runs them either inline (serial,
-blocking) or on a process pool:
+``[(item_index, row), ...]`` — and runs them through one engine with two
+lanes:
+
+* the **inline loop** (``jobs <= 1`` with ``block=True`` and no
+  ``item_timeout``) runs the tasks one after another in this process, so
+  payloads may carry live objects and nothing is pickled;
+* the **pooled dispatcher** (everything else) runs every task attempt in a
+  **dedicated worker process**, at most ``jobs`` at a time.  Killed workers
+  take down only their own task: a worker that dies without reporting —
+  SIGKILL, OOM — fails its task with a
+  :class:`~repro.errors.WorkerCrashedError`, and a worker that exceeds
+  ``item_timeout`` seconds of wall clock is killed and its task fails with a
+  :class:`~repro.errors.JobTimeoutError`.
+
+The handle reports progress the same way in both lanes:
 
 * ``Job.status()`` reports ``pending`` / ``running`` / ``done`` /
   ``failed`` / ``cancelled``;
@@ -12,54 +25,50 @@ blocking) or on a process pool:
   item order;
 * ``Job.partial_results()`` and ``Job.stream()`` expose per-item rows as
   tasks complete (streaming partial results);
-* ``Job.cancel()`` cancels every not-yet-started task; tasks already
-  running finish (fault-tolerant pools kill them), and their completed rows
-  stay available through ``partial_results()``.
+* ``Job.cancel()`` cancels every not-yet-started task and kills the workers
+  still running; completed rows stay available through
+  ``partial_results()``.
 
-Worker failures propagate with their **original exception type**: the
-worker catches the error, returns it as data, and the parent re-raises it
-with the worker traceback attached as the ``__cause__`` (a
-:class:`~repro.errors.JobError` carrying the formatted remote traceback).
-Unpicklable exceptions degrade to a :class:`~repro.errors.JobError`
-describing the original.
+Policies
+--------
+What happens when a task fails is the submission's *policy*, not a
+different engine:
 
-Fault tolerance
----------------
-Passing any of ``retry`` / ``item_timeout`` / ``journal`` /
-``on_error="partial"`` to :func:`submit` switches the job onto the
-fault-tolerant engine:
-
-* each task re-runs under its :class:`~repro.api.faults.RetryPolicy`
-  (exponential backoff, deterministic jitter, retryable-error
-  classification); the task's payload is re-dispatched verbatim, so retried
-  items keep their original ``seed + index`` and a faulted run converges to
-  the bit-identical fault-free result;
-* pooled tasks each run in a **dedicated worker process** (killed workers
-  take down only their own task): a worker that dies without reporting —
-  SIGKILL, OOM — is detected and its task re-dispatched as a
-  :class:`~repro.errors.WorkerCrashedError`; a worker that exceeds
-  ``item_timeout`` seconds of wall clock is killed and its task re-dispatched
-  as a :class:`~repro.errors.JobTimeoutError`;
-* a task that exhausts its retries becomes an
-  :class:`~repro.api.faults.ItemFailure` record; the job *keeps going*.
+* **plain** (the default): no retries, fail fast.  The first failure stops
+  dispatch (tasks already running finish and keep their rows) and
+  ``Job.result()`` re-raises the **original exception type** — the worker
+  catches the error, returns it as data, and the parent re-raises it with
+  the worker traceback attached as the ``__cause__`` (a
+  :class:`~repro.errors.JobError` carrying the formatted remote traceback).
+  Unpicklable exceptions degrade to a :class:`~repro.errors.JobError`
+  describing the original.
+* **fault tolerant** (any of ``retry`` / ``item_timeout`` / ``journal`` /
+  ``on_error="partial"`` passed to :func:`submit`): each task re-runs under
+  its :class:`~repro.api.faults.RetryPolicy` (exponential backoff,
+  deterministic jitter, retryable-error classification); the task's payload
+  is re-dispatched verbatim, so retried items keep their original
+  ``seed + index`` and a faulted run converges to the bit-identical
+  fault-free result.  A task that exhausts its retries becomes an
+  :class:`~repro.api.faults.ItemFailure` record and the job *keeps going*.
   ``Job.result(on_error="raise")`` (the default) then raises a
   :class:`~repro.errors.JobError` aggregating every record, while
   ``on_error="partial"`` returns the successful rows (failures stay
-  inspectable on ``Job.failures()``);
-* every completed row checkpoints to the optional
-  :class:`~repro.api.journal.JobJournal` the moment it lands, so a later
-  :func:`~repro.api.journal.resume_job` replays nothing already done.
+  inspectable on ``Job.failures()``).
+
+Every completed row checkpoints to the optional
+:class:`~repro.api.journal.JobJournal` the moment it lands, so a later
+:func:`~repro.api.journal.resume_job` replays nothing already done.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -78,7 +87,7 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: Poll interval of the fault-tolerant dispatcher (seconds).
+#: Poll interval of the pooled dispatcher (seconds).
 _POLL_SECONDS = 0.05
 
 
@@ -95,9 +104,6 @@ class _RemoteFailure:
         except Exception:
             self.error = JobError(f"unpicklable worker error: {error!r}")
 
-    def reraise(self) -> None:
-        raise self.error from JobError(f"worker traceback:\n{self.traceback}")
-
 
 def run_task(task: Tuple[Callable, Any]):
     """Module-level worker entry point: run one task, capture failures as data.
@@ -112,8 +118,8 @@ def run_task(task: Tuple[Callable, Any]):
         return _RemoteFailure(error)
 
 
-class _TaskState:
-    """Bookkeeping for one task in the fault-tolerant engine."""
+class _Task:
+    """Bookkeeping for one task: its identity, attempts and live worker."""
 
     __slots__ = (
         "function",
@@ -127,37 +133,29 @@ class _TaskState:
         "deadline",
     )
 
-    def __init__(self, function, payload, indices: Tuple[int, ...], key: str):
-        self.function = function
-        self.payload = payload
-        self.indices = indices
-        self.key = key
+    def __init__(self, position: int, task: Sequence):
+        self.function, self.payload = task[0], task[1]
+        self.indices: Tuple[int, ...] = (
+            tuple(task[2]) if len(task) > 2 and task[2] is not None else ()
+        )
+        self.key: str = task[3] if len(task) > 3 and task[3] else f"task-{position}"
         self.attempts = 0
         self.not_before = 0.0
         self.process = None
         self.conn = None
         self.deadline: Optional[float] = None
 
-    def task(self) -> Tuple[Callable, Any]:
-        """The dispatchable pair; dict payloads learn their attempt number."""
+    def start(self) -> Tuple[Callable, Any]:
+        """The pair to run next; dict payloads learn their attempt number."""
         payload = self.payload
         if isinstance(payload, dict):
             payload = dict(payload, attempt=self.attempts)
+        self.attempts += 1
         return (self.function, payload)
 
 
-def _normalize_tasks(tasks: Sequence) -> List[_TaskState]:
-    states: List[_TaskState] = []
-    for position, task in enumerate(tasks):
-        function, payload = task[0], task[1]
-        indices = tuple(task[2]) if len(task) > 2 and task[2] is not None else ()
-        key = task[3] if len(task) > 3 and task[3] else f"task-{position}"
-        states.append(_TaskState(function, payload, indices, key))
-    return states
-
-
 def _child_entry(conn, function, payload) -> None:
-    """Entry point of a dedicated (fault-tolerant) worker process."""
+    """Entry point of a dedicated worker process."""
     outcome = run_task((function, payload))
     try:
         conn.send(outcome)
@@ -181,293 +179,174 @@ class Job:
         self._lock = threading.Condition()
         self._rows: Dict[int, Any] = {}
         self._status = PENDING
-        self._failure: Optional[_RemoteFailure] = None
         self._failures: List[ItemFailure] = []
-        self._futures: List[Future] = []
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._pending_tasks = 0
-        self._journal = None
+        # True once the engine has stopped: no row arrives and no worker
+        # runs after this.
+        self._settled = False
+        # The policy, set by submit().
         self._on_error = "raise"
+        self._fail_fast = True
+        self._journal = None
         #: Journal identifier when the submission checkpoints (else ``None``).
         self.job_id: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Construction paths (used by submit()).
+    # The engine.
     # ------------------------------------------------------------------
-    def _run_inline(self, tasks: Sequence[Tuple[Callable, Any]]) -> "Job":
-        self._status = RUNNING
-        for task in tasks:
-            with self._lock:
-                if self._status == CANCELLED:
-                    return self
-            outcome = run_task(task)
-            self._record(outcome)
-            if self._failure is not None:
-                break
+    def _halted(self) -> bool:
+        """Start nothing new: cancelled, or a fail-fast job that failed."""
         with self._lock:
-            if self._status == RUNNING:
-                self._status = FAILED if self._failure is not None else DONE
+            return self._status == CANCELLED or (self._fail_fast and bool(self._failures))
+
+    def _settle(self, task: _Task, outcome: Any, retry: Optional[RetryPolicy]) -> bool:
+        """Record one attempt's outcome; ``True`` when the task must run again."""
+        if not isinstance(outcome, _RemoteFailure):
+            self._record(outcome)
+            return False
+        error = outcome.error
+        if retry is not None and retry.is_retryable(error) and task.attempts < retry.max_attempts:
+            return True
+        with self._lock:
+            self._failures.append(
+                ItemFailure(task.indices, error, task.attempts, outcome.traceback)
+            )
             self._lock.notify_all()
-        return self
+        return False
 
-    def _run_pooled(self, tasks: Sequence[Tuple[Callable, Any]], jobs: int) -> "Job":
-        self._status = RUNNING
-        self._executor = ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks))))
-        self._pending_tasks = len(tasks)
-        for task in tasks:
-            future = self._executor.submit(run_task, task)
-            self._futures.append(future)
-            future.add_done_callback(self._on_task_done)
-        return self
-
-    # ------------------------------------------------------------------
-    # Fault-tolerant construction paths.
-    # ------------------------------------------------------------------
-    def _run_inline_resilient(
-        self, states: List[_TaskState], retry: Optional[RetryPolicy]
-    ) -> "Job":
-        """Serial fault-tolerant run: retries and failure records, no pool."""
-        self._status = RUNNING
-        for state in states:
-            with self._lock:
-                if self._status == CANCELLED:
-                    return self
-            while True:
-                outcome = run_task(state.task())
-                state.attempts += 1
-                if not isinstance(outcome, _RemoteFailure):
-                    self._record(outcome)
-                    break
-                error = outcome.error
-                if (
-                    retry is not None
-                    and retry.is_retryable(error)
-                    and state.attempts < retry.max_attempts
-                ):
-                    time.sleep(retry.delay(state.attempts, key=state.key))
-                    with self._lock:
-                        if self._status == CANCELLED:
-                            return self
-                    continue
-                self._add_failure(
-                    ItemFailure(state.indices, error, state.attempts, outcome.traceback)
-                )
-                break
+    def _finish(self) -> None:
         with self._lock:
             if self._status == RUNNING:
                 self._status = FAILED if self._failures else DONE
+            self._settled = True
             self._lock.notify_all()
-        return self
 
-    def _run_pooled_resilient(
-        self,
-        states: List[_TaskState],
-        jobs: int,
-        retry: Optional[RetryPolicy],
-        item_timeout: Optional[float],
-    ) -> "Job":
-        """Fan tasks out over dedicated worker processes (crash containment)."""
-        self._status = RUNNING
-        self._pending_tasks = len(states)
-        thread = threading.Thread(
-            target=self._resilient_loop,
-            args=(states, max(1, jobs), retry, item_timeout),
-            daemon=True,
-            name="repro-job-dispatcher",
-        )
-        thread.start()
-        return self
+    def _run_inline(self, tasks: List[_Task], retry: Optional[RetryPolicy]) -> None:
+        """The inline loop: run ``tasks`` one after another in this process."""
+        try:
+            for task in tasks:
+                while not self._halted() and self._settle(task, run_task(task.start()), retry):
+                    time.sleep(retry.delay(task.attempts, key=task.key))
+        finally:
+            self._finish()
 
-    def _resilient_loop(
+    def _dispatch(
         self,
-        states: List[_TaskState],
+        tasks: List[_Task],
         jobs: int,
         retry: Optional[RetryPolicy],
         item_timeout: Optional[float],
     ) -> None:
-        import multiprocessing
-        from multiprocessing.connection import wait as connection_wait
-
+        """The pooled dispatcher: one worker process per task attempt."""
         context = multiprocessing.get_context()
-        pending: deque = deque(states)
-        delayed: List[_TaskState] = []
-        running: Dict[Any, _TaskState] = {}
+        pending: deque = deque(tasks)
+        delayed: List[_Task] = []
+        running: Dict[Any, _Task] = {}
 
-        def spawn(state: _TaskState) -> None:
-            function, payload = state.task()
+        def spawn(task: _Task) -> None:
+            function, payload = task.start()
             parent_conn, child_conn = context.Pipe(duplex=False)
             process = context.Process(
                 target=_child_entry, args=(child_conn, function, payload), daemon=True
             )
             process.start()
             child_conn.close()
-            state.process, state.conn = process, parent_conn
-            state.deadline = (
+            task.process, task.conn = process, parent_conn
+            task.deadline = (
                 time.monotonic() + item_timeout if item_timeout is not None else None
             )
-            running[parent_conn] = state
+            running[parent_conn] = task
 
-        def reap(state: _TaskState) -> None:
-            running.pop(state.conn, None)
-            if state.conn is not None:
-                try:
-                    state.conn.close()
-                except OSError:
-                    pass
-            if state.process is not None:
-                state.process.join(timeout=5)
-            state.process = state.conn = None
+        def reap(task: _Task, kill: bool = False) -> None:
+            if kill:
+                task.process.kill()
+            running.pop(task.conn, None)
+            try:
+                task.conn.close()
+            except OSError:
+                pass
+            task.process.join(timeout=5)
+            task.process = task.conn = None
 
-        def settle_failure(state: _TaskState, error: BaseException, tb: str) -> None:
-            """Retry the task or record its terminal failure."""
-            if (
-                retry is not None
-                and retry.is_retryable(error)
-                and state.attempts < retry.max_attempts
-            ):
-                state.not_before = time.monotonic() + retry.delay(
-                    state.attempts, key=state.key
-                )
-                delayed.append(state)
-                return
-            self._add_failure(ItemFailure(state.indices, error, state.attempts, tb))
-            self._task_finished()
+        def settle(task: _Task, outcome: Any) -> None:
+            if self._settle(task, outcome, retry):
+                task.not_before = time.monotonic() + retry.delay(task.attempts, key=task.key)
+                delayed.append(task)
+
+        def fail(task: _Task, error_type: type, detail: str, kill: bool = False) -> None:
+            """Reap a worker that will not report and fail its attempt."""
+            reap(task, kill)
+            settle(task, _RemoteFailure(error_type(f"{detail} (attempt {task.attempts})")))
 
         try:
             while True:
                 with self._lock:
-                    cancelled = self._status == CANCELLED
-                if cancelled:
-                    break
+                    if self._status == CANCELLED:
+                        break
+                if self._halted():
+                    # Fail fast: start nothing new; running tasks finish.
+                    pending.clear()
+                    delayed.clear()
                 now = time.monotonic()
-                for state in [s for s in delayed if s.not_before <= now]:
-                    delayed.remove(state)
-                    pending.append(state)
+                for task in [t for t in delayed if t.not_before <= now]:
+                    delayed.remove(task)
+                    pending.append(task)
                 while pending and len(running) < jobs:
                     spawn(pending.popleft())
-                if not running and not pending and not delayed:
-                    break
                 if not running:
+                    if not delayed:
+                        break
                     time.sleep(_POLL_SECONDS)
                     continue
-                ready = connection_wait(list(running), timeout=_POLL_SECONDS)
-                for conn in ready:
-                    state = running[conn]
-                    state.attempts += 1
+                for conn in connection_wait(list(running), timeout=_POLL_SECONDS):
+                    task = running[conn]
                     try:
                         outcome = conn.recv()
-                    except (EOFError, OSError):
-                        outcome = None  # died before (or while) reporting
-                    reap(state)
-                    if outcome is None:
-                        settle_failure(
-                            state,
-                            WorkerCrashedError(
-                                f"worker for {state.key} died without reporting "
-                                f"a result (attempt {state.attempts})"
-                            ),
-                            "",
-                        )
-                    elif isinstance(outcome, _RemoteFailure):
-                        settle_failure(state, outcome.error, outcome.traceback)
-                    else:
-                        self._record(outcome)
-                        self._task_finished()
+                    except (EOFError, OSError):  # died before (or while) reporting
+                        fail(task, WorkerCrashedError,
+                             f"worker for {task.key} died without reporting a result")
+                        continue
+                    reap(task)
+                    settle(task, outcome)
                 now = time.monotonic()
-                for conn, state in list(running.items()):
-                    process = state.process
-                    if process is not None and not process.is_alive():
+                for conn, task in list(running.items()):
+                    process = task.process
+                    if not process.is_alive():
                         if conn.poll():
                             # Exited normally with its result still buffered
                             # in the pipe; the next connection_wait drains it.
                             continue
-                        # Dead without a readable result: crashed worker.
-                        state.attempts += 1
-                        reap(state)
-                        settle_failure(
-                            state,
-                            WorkerCrashedError(
-                                f"worker for {state.key} crashed "
-                                f"(exit code {process.exitcode}, attempt {state.attempts})"
-                            ),
-                            "",
-                        )
-                    elif state.deadline is not None and now > state.deadline:
-                        state.attempts += 1
-                        if process is not None:
-                            process.kill()
-                        reap(state)
-                        settle_failure(
-                            state,
-                            JobTimeoutError(
-                                f"{state.key} exceeded its {item_timeout}s item "
-                                f"timeout; worker killed (attempt {state.attempts})"
-                            ),
-                            "",
-                        )
+                        fail(task, WorkerCrashedError,
+                             f"worker for {task.key} crashed with exit code {process.exitcode}")
+                    elif task.deadline is not None and now > task.deadline:
+                        fail(task, JobTimeoutError,
+                             f"{task.key} exceeded its {item_timeout}s item timeout; worker killed",
+                             kill=True)
         finally:
-            # Cancelled (or dispatcher failure): kill whatever still runs and
-            # zero the countdown so wait()ers wake up.
-            for state in list(running.values()):
-                if state.process is not None:
-                    state.process.kill()
-                reap(state)
-            with self._lock:
-                self._pending_tasks = 0
-                if self._status == RUNNING:
-                    self._status = FAILED if self._failures else DONE
-                self._lock.notify_all()
+            # Cancelled (or dispatcher failure): kill whatever still runs.
+            for task in list(running.values()):
+                reap(task, kill=True)
+            self._finish()
 
-    def _task_finished(self) -> None:
+    def _record(self, rows: Any) -> None:
         with self._lock:
-            self._pending_tasks -= 1
+            for index, row in rows:
+                self._rows[index] = row
+                if self._journal is not None:
+                    self._journal.checkpoint_row(index, row)
             self._lock.notify_all()
 
-    def _add_failure(self, failure: ItemFailure) -> None:
-        with self._lock:
-            self._failures.append(failure)
-            self._lock.notify_all()
-
-    # ------------------------------------------------------------------
-    def _record(self, outcome: Any) -> None:
-        with self._lock:
-            if isinstance(outcome, _RemoteFailure):
-                if self._failure is None:
-                    self._failure = outcome
-            else:
-                for index, row in outcome:
-                    self._rows[index] = row
-                    if self._journal is not None:
-                        self._journal.checkpoint_row(index, row)
-            self._lock.notify_all()
-
-    def _on_task_done(self, future: Future) -> None:
-        if not future.cancelled():
-            try:
-                self._record(future.result())
-            except BrokenProcessPool as error:
-                self._record(
-                    _RemoteFailure(
-                        WorkerCrashedError(
-                            "a process-pool worker died abruptly; submit with "
-                            f"retry=RetryPolicy(...) for crash containment ({error!r})"
-                        )
-                    )
-                )
-            except BaseException as error:  # pool infrastructure failure
-                self._record(_RemoteFailure(error))
-        with self._lock:
-            self._pending_tasks -= 1
-            if self._pending_tasks == 0:
-                if self._status == RUNNING:
-                    self._status = FAILED if self._failure is not None else DONE
-                self._shutdown()
-            self._lock.notify_all()
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+    def _raise(self, failures: List[ItemFailure]) -> None:
+        """Raise for terminal ``failures`` as the submission's policy says."""
+        first = failures[0]
+        if self._fail_fast:
+            raise first.error from JobError(f"worker traceback:\n{first.traceback}")
+        summary = "; ".join(f.describe() for f in failures[:5])
+        if len(failures) > 5:
+            summary += f"; ... {len(failures) - 5} more"
+        raise JobError(
+            f"{len(failures)} item(s) failed after retries: {summary}",
+            failures=failures,
+        ) from first.error
 
     # ------------------------------------------------------------------
     # Public lifecycle API.
@@ -479,33 +358,27 @@ class Job:
 
     def done(self) -> bool:
         """True once no further rows will arrive."""
-        return self.status() in (DONE, FAILED, CANCELLED)
+        with self._lock:
+            return self._settled
 
     def failures(self) -> List[ItemFailure]:
-        """Per-item failure records of a fault-tolerant run (terminal only)."""
+        """Per-item terminal failure records (pre-dispatch rejections included)."""
         with self._lock:
             return list(self._failures)
 
     def cancel(self) -> bool:
-        """Cancel every not-yet-started task.
+        """Cancel every not-yet-started task and kill running workers.
 
-        Plain pooled tasks already running finish (their rows remain
-        available via :meth:`partial_results`); fault-tolerant workers are
-        killed.  Idempotent: returns ``True`` only on the call that actually
-        cancelled, ``False`` once the job is already terminal.
+        Rows completed before the cancel remain available via
+        :meth:`partial_results`.  Idempotent: returns ``True`` only on the
+        call that actually cancelled, ``False`` once the job is already
+        terminal.
         """
         with self._lock:
             if self._status in (DONE, FAILED, CANCELLED):
                 return False
             self._status = CANCELLED
-            futures = list(self._futures)
             self._lock.notify_all()
-        # Done callbacks fire for cancelled futures too, so the pending-task
-        # bookkeeping in _on_task_done reaches zero on its own.  The
-        # fault-tolerant dispatcher notices the state change and kills its
-        # worker processes itself.
-        for future in futures:
-            future.cancel()
         return True
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -515,12 +388,7 @@ class Job:
         (TimeoutError-compatible) when ``timeout`` seconds elapse first.
         """
         with self._lock:
-            finished = self._lock.wait_for(
-                lambda: self._status in (DONE, FAILED, CANCELLED)
-                and self._pending_tasks == 0,
-                timeout=timeout,
-            )
-            if not finished:
+            if not self._lock.wait_for(lambda: self._settled, timeout=timeout):
                 raise JobTimeoutError(
                     f"job still {self._status} after {timeout}s "
                     f"({len(self._rows)} item(s) completed)"
@@ -565,17 +433,8 @@ class Job:
                     f"job cancelled with {len(self._rows)} item(s) completed; "
                     "use partial_results() to retrieve them"
                 )
-            if on_error == "raise":
-                if self._failure is not None:
-                    self._failure.reraise()
-                if self._failures:
-                    summary = "; ".join(f.describe() for f in self._failures[:5])
-                    if len(self._failures) > 5:
-                        summary += f"; ... {len(self._failures) - 5} more"
-                    raise JobError(
-                        f"{len(self._failures)} item(s) failed after retries: {summary}",
-                        failures=self._failures,
-                    ) from self._failures[0].error
+            if on_error == "raise" and self._failures:
+                self._raise(self._failures)
             rows = sorted(self._rows.items())
         return self._assemble(rows) if self._assemble else [row for _, row in rows]
 
@@ -587,15 +446,15 @@ class Job:
     def stream(self, timeout: Optional[float] = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(item_index, row)`` pairs as they complete, in arrival order.
 
-        Stops once the job reaches a terminal state; a worker failure is
-        re-raised (original type) after every already-completed row has been
+        Stops once the job reaches a terminal state; failures raise as
+        :meth:`result` does, after every already-completed row has been
         yielded.
         """
         seen: set = set()
         while True:
             with self._lock:
                 fresh = [(i, row) for i, row in sorted(self._rows.items()) if i not in seen]
-                terminal = self._status in (DONE, FAILED, CANCELLED) and self._pending_tasks == 0
+                terminal = self._settled
                 if not fresh and not terminal:
                     if not self._lock.wait(timeout):
                         raise JobTimeoutError("no job progress before timeout")
@@ -604,16 +463,9 @@ class Job:
                 seen.add(index)
                 yield index, row
             if terminal and not fresh:
-                with self._lock:
-                    failure = self._failure
-                    failures = list(self._failures)
-                if failure is not None:
-                    failure.reraise()
+                failures = self.failures()
                 if failures and self._on_error == "raise":
-                    raise JobError(
-                        f"{len(failures)} item(s) failed after retries",
-                        failures=failures,
-                    ) from failures[0].error
+                    self._raise(failures)
                 return
 
     def __repr__(self) -> str:
@@ -622,15 +474,20 @@ class Job:
             return f"<Job status={self._status} completed={len(self._rows)}{extra}>"
 
 
-def completed(
-    rows: Sequence[Tuple[int, Any]],
-    assemble: Optional[Callable[[List[Tuple[int, Any]]], Any]] = None,
-) -> Job:
-    """A job already in the ``done`` state holding ``rows`` (inline runs)."""
-    job = Job(assemble=assemble)
-    job._rows = dict(rows)
-    job._status = DONE
-    return job
+def runs_inline(jobs: int, block: bool, item_timeout: Optional[float]) -> bool:
+    """Whether :func:`submit` runs a non-empty task list on the inline loop."""
+    return jobs <= 1 and block and item_timeout is None
+
+
+def fault_tolerant(retry, item_timeout, journal, on_error: str, prefailures=()) -> bool:
+    """Whether :func:`submit` applies the fault-tolerant policy, not the plain one."""
+    return bool(
+        retry is not None
+        or item_timeout is not None
+        or journal is not None
+        or on_error == "partial"
+        or prefailures
+    )
 
 
 def submit(
@@ -652,52 +509,41 @@ def submit(
     indices the task covers (for failure records) and ``key`` is a stable
     identity used for deterministic backoff jitter.
 
-    ``jobs <= 1`` with ``block=True`` executes inline in this process (no
-    pool, no pickling of results).  Everything else fans out over a process
-    pool of ``max(1, jobs)`` workers; with ``block=True`` the call waits for
-    completion before returning, with ``block=False`` it returns
-    immediately and the job completes in the background.
+    ``jobs <= 1`` with ``block=True`` runs the inline loop in this process
+    (no worker processes, no pickling of results).  Everything else runs on
+    the pooled dispatcher with up to ``max(1, jobs)`` worker processes; with
+    ``block=True`` the call waits for completion before returning, with
+    ``block=False`` it returns immediately and the job completes in the
+    background.  ``item_timeout`` needs a worker process to kill a stuck
+    task, so it selects the pooled dispatcher even for ``jobs=1``.
 
-    Fault tolerance (see the module docstring) engages when any of
-    ``retry`` / ``item_timeout`` / ``journal`` / ``on_error="partial"`` is
-    given.  ``item_timeout`` needs process isolation to kill a stuck worker,
-    so it forces the pooled engine even for ``jobs=1``.  ``preloaded_rows``
-    (e.g. journal checkpoints from a previous life of the job) and
-    ``prefailures`` (pre-dispatch rejections) seed the job before any task
-    runs.
+    The policy (see the module docstring) is plain — no retries, fail fast,
+    original exception types — unless any of ``retry`` / ``item_timeout`` /
+    ``journal`` / ``on_error="partial"`` / ``prefailures`` is given.
+    ``preloaded_rows`` (e.g. journal checkpoints from a previous life of
+    the job) and ``prefailures`` (pre-dispatch rejections) seed the job
+    before any task runs.
     """
     if on_error not in ("raise", "partial"):
         raise InvalidRequestError(f"on_error must be 'raise' or 'partial', got {on_error!r}")
     job = Job(assemble=assemble)
-    job._journal = journal
     job._on_error = on_error
-    if journal is not None:
-        job.job_id = journal.job_id
-    if preloaded_rows:
-        job._rows.update(dict(preloaded_rows))
-    if prefailures:
-        job._failures.extend(prefailures)
-    fault_tolerant = (
-        retry is not None
-        or item_timeout is not None
-        or journal is not None
-        or on_error == "partial"
-        or prefailures
-    )
-    if not tasks:
-        job._status = FAILED if job._failures else DONE
+    job._fail_fast = not fault_tolerant(retry, item_timeout, journal, on_error, prefailures)
+    job._journal = journal
+    job.job_id = None if journal is None else journal.job_id
+    job._rows.update(preloaded_rows or ())
+    job._failures.extend(prefailures or ())
+    job._status = RUNNING
+    states = [_Task(position, task) for position, task in enumerate(tasks)]
+    if not states or runs_inline(jobs, block, item_timeout):
+        job._run_inline(states, retry)
         return job
-    if not fault_tolerant:
-        if jobs <= 1 and block:
-            return job._run_inline(list(tasks))
-        job._run_pooled(list(tasks), jobs=max(1, jobs))
-        if block:
-            job.wait()
-        return job
-    states = _normalize_tasks(tasks)
-    if jobs <= 1 and block and item_timeout is None:
-        return job._run_inline_resilient(states, retry)
-    job._run_pooled_resilient(states, jobs=max(1, jobs), retry=retry, item_timeout=item_timeout)
+    threading.Thread(
+        target=job._dispatch,
+        args=(states, max(1, jobs), retry, item_timeout),
+        daemon=True,
+        name="repro-job-dispatcher",
+    ).start()
     if block:
         job.wait()
     return job

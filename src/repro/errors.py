@@ -30,9 +30,10 @@ can catch the precise class:
     and its worker was killed.  Inherits :class:`TimeoutError`, so code
     catching the builtin keeps working.
 ``WorkerCrashedError``
-    A pool worker died without reporting a result (SIGKILL, OOM kill,
-    ``BrokenProcessPool``).  Retryable by default: the scheduler resurrects
-    the worker and re-dispatches only the in-flight items.
+    A worker process died without reporting a result (SIGKILL, OOM kill);
+    only the task it ran fails.  Retryable by the default
+    :class:`~repro.api.faults.RetryPolicy`: the scheduler resurrects the
+    worker and re-dispatches only the in-flight items.
 ``TransientError``
     A failure the caller declares to be transient (flaky I/O, injected
     chaos).  The default :class:`~repro.api.faults.RetryPolicy` retries it.
@@ -134,7 +135,7 @@ class JobTimeoutError(JobError, TimeoutError):
 
 
 class WorkerCrashedError(JobError):
-    """A pool worker died (SIGKILL / OOM / broken pool) without a result."""
+    """A worker process died (SIGKILL / OOM) without a result."""
 
 
 __all__ = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,60 @@ from repro.circuits.noise import (
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.statevector import StateVectorSimulator
+
+
+# ---------------------------------------------------------------------------
+# Hermetic sessions: a test run must leave every tracked file as it found it.
+# Benchmarks write their artifacts to BENCH_OUTPUT_DIR or a temp directory,
+# never into the checkout; this check fails the session if anything does.
+# ---------------------------------------------------------------------------
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _tracked_changes():
+    """Tracked files differing from HEAD -> content digest (``None`` without git)."""
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "-z", "--untracked-files=no"],
+            cwd=_REPO,
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    changes = {}
+    for entry in filter(None, status.split(b"\0")):
+        name = entry[3:].decode(errors="replace")
+        try:
+            changes[name] = hashlib.sha256((_REPO / name).read_bytes()).hexdigest()
+        except OSError:
+            changes[name] = "unreadable"
+    return changes
+
+
+def pytest_sessionstart(session):
+    session.config._tracked_at_start = _tracked_changes()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    before = getattr(session.config, "_tracked_at_start", None)
+    after = _tracked_changes() if before is not None else None
+    if after is None:
+        return
+    modified = sorted(
+        name
+        for name in set(before) | set(after)
+        if before.get(name, "clean") != after.get(name, "clean")
+    )
+    if modified:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line("")
+            reporter.write_sep(
+                "!", "test session modified tracked files: " + ", ".join(modified), red=True
+            )
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

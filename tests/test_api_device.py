@@ -223,6 +223,24 @@ class TestCapabilityRegistry:
         with pytest.raises(BackendCapabilityError, match="no state vector"):
             device("density_matrix").run(noisy, observables=["state_vector"])
 
+    def test_one_predicate_names_the_first_violated_limit(self):
+        from repro.api.capabilities import capability_violation
+
+        kc = backend_capabilities("kc")
+        assert capability_violation(kc, 3, noisy=True, observables=("samples",)) is None
+        assert "capped at" in capability_violation(kc, 10_000, noisy=True)
+        stabilizer = backend_capabilities("stabilizer")
+        # Device validation does not classify circuits (clifford unknown):
+        # a noisy Pauli sample passes, a noisy distribution does not.
+        assert capability_violation(stabilizer, 5, True, ("samples",)) is None
+        assert "mixed-state" in capability_violation(stabilizer, 5, True, ("probabilities",))
+        # Routing knows the classification and filters non-Clifford work.
+        assert "Clifford" in capability_violation(stabilizer, 5, False, (), clifford=False)
+        budget = capability_violation(
+            backend_capabilities("density_matrix"), 4, False, memory_budget=16
+        )
+        assert "memory budget" in budget
+
     def test_fixed_device_reports_capabilities(self):
         caps = device("stabilizer").capabilities()
         assert caps.clifford_only and caps.max_qubits is None

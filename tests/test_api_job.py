@@ -7,10 +7,15 @@ The satellite contract of the Device/Job redesign:
 * a worker exception crosses the process boundary with its **original**
   type (the remote traceback attached as ``__cause__``);
 * serial (``jobs=1``), pooled (``jobs>1``) and async (``block=False``)
-  runs of the same seeded batch are bit-identical (``seed + index``
-  fan-out is independent of scheduling).
+  runs of the same seeded batch are bit-identical under every policy —
+  plain, retried, partial and checkpointed (``seed + index`` fan-out is
+  independent of scheduling);
+* a plain pooled job contains a SIGKILLed worker: only that task fails,
+  with ``WorkerCrashedError``, and the other tasks keep their rows.
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -23,6 +28,7 @@ from repro import (
     JobCancelledError,
     JobTimeoutError,
     LineQubit,
+    RetryPolicy,
     Rx,
     TransientError,
     UnsupportedCircuitError,
@@ -30,7 +36,7 @@ from repro import (
     device,
 )
 from repro.api import scheduler
-from repro.errors import BackendCapabilityError
+from repro.errors import BackendCapabilityError, JobError, WorkerCrashedError
 
 
 def _echo_task(payload):
@@ -44,6 +50,12 @@ def _slow_task(payload):
 
 def _failing_task(payload):
     raise UnsupportedCircuitError(f"boom on {payload['index']}")
+
+
+def _killed_task(payload):
+    # Outlive the other tasks, then die without reporting.
+    time.sleep(payload["sleep"])
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSchedulerLifecycle:
@@ -92,6 +104,17 @@ class TestSchedulerLifecycle:
         with pytest.raises(UnsupportedCircuitError):
             job.result()
 
+    def test_plain_pooled_job_contains_sigkilled_worker(self):
+        tasks = [(_echo_task, {"index": i, "value": i * 10}) for i in (0, 2, 3)]
+        tasks.insert(1, (_killed_task, {"index": 1, "sleep": 1.5}))
+        job = scheduler.submit(tasks, jobs=2)
+        assert job.status() == scheduler.FAILED
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            job.result()
+        assert isinstance(excinfo.value.__cause__, JobError)
+        assert job.partial_results() == {0: 0, 2: 20, 3: 30}
+        assert len(job.failures()) == 1
+
     def test_stream_yields_rows_in_arrival_order(self):
         tasks = [(_echo_task, {"index": i, "value": -i}) for i in range(5)]
         job = scheduler.submit(tasks, jobs=2, block=False)
@@ -110,20 +133,35 @@ def mixed_batch():
     return [bell, noisy, *rotated, bell, noisy]
 
 
+@pytest.fixture(scope="module")
+def plain_serial_run(mixed_batch):
+    result = device("auto", seed=11).run(mixed_batch, repetitions=40, seed=17).result()
+    return result.backends(), result.counts()
+
+
 class TestDeviceJobLifecycle:
-    def test_serial_parallel_and_async_runs_are_identical(self, mixed_batch):
+    @pytest.mark.parametrize("policy", ["plain", "retry", "partial", "checkpoint"])
+    def test_serial_parallel_and_async_runs_are_identical(
+        self, mixed_batch, plain_serial_run, policy, tmp_path
+    ):
         runs = {}
         for label, kwargs in {
             "serial": dict(jobs=1, block=True),
             "parallel": dict(jobs=2, block=True),
             "async": dict(jobs=2, block=False),
         }.items():
+            options = {
+                "plain": {},
+                "retry": {"retry": RetryPolicy()},
+                "partial": {"on_error": "partial"},
+                "checkpoint": {"checkpoint": str(tmp_path / label)},
+            }[policy]
             job = device("auto", seed=11).run(
-                mixed_batch, repetitions=40, seed=17, **kwargs
+                mixed_batch, repetitions=40, seed=17, **kwargs, **options
             )
             result = job.result(timeout=120)
             runs[label] = (result.backends(), result.counts())
-        assert runs["serial"] == runs["parallel"] == runs["async"]
+        assert runs["serial"] == runs["parallel"] == runs["async"] == plain_serial_run
 
     def test_worker_exception_keeps_original_type_through_device(self, mixed_batch):
         noisy = mixed_batch[1]
