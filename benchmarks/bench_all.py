@@ -1,8 +1,7 @@
 """Unified benchmark harness: every headline workload, one ``BENCH_all.json``.
 
 One seeded run measures the repository's five headline performance claims
-plus the cost-model routing gate, and emits a single machine-readable
-artifact (committed at the repository root, regenerated per PR):
+and emits a single machine-readable artifact (committed at the repository root, regenerated per PR):
 
 * **api** — batched ``Device.run()`` vs a per-circuit ``sample()`` loop
   (the ``BENCH_api.json`` workload);
@@ -11,11 +10,7 @@ artifact (committed at the repository root, regenerated per PR):
 * **optimizer** — circuit-rewrite pipeline compile/sweep reductions
   (the ``BENCH_optimizer.json`` workload);
 * **robustness** — fault-free overhead of retries + checkpointing
-  (the ``BENCH_robustness.json`` workload);
-* **cost_routing** — calibrates the backend cost model from a seeded
-  sweep, persists the versioned artifact consumed by
-  ``select_backend(mode="cost")``, and scores its routing decisions
-  against measured-fastest on the 50-circuit holdout suite.
+  (the ``BENCH_robustness.json`` workload).
 
 Every workload is seeded; wall-clock numbers vary by machine but the
 schema and the seeded circuits do not.  ``tools/check_bench_trajectory.py``
@@ -44,10 +39,9 @@ import numpy as np  # noqa: E402
 
 from repro.bench import emit_bench  # noqa: E402
 
-SECTIONS = ("api", "sweep", "stabilizer", "optimizer", "robustness", "cost_routing")
+SECTIONS = ("api", "sweep", "stabilizer", "optimizer", "robustness")
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_all.json"
-DEFAULT_MODEL_ARTIFACT = REPO_ROOT / "src" / "repro" / "api" / "costmodel_default.json"
 
 
 def _qaoa_workload(num_points, seed=13):
@@ -279,85 +273,10 @@ def bench_robustness():
     }
 
 
-def bench_cost_routing(model_artifact):
-    """Calibrate the cost model, persist it, and score holdout routing."""
-    from repro.api import costmodel
-    from repro.api.registry import create_backend
-    from repro.api.routing import capable_backends
-
-    start = time.perf_counter()
-    cases = costmodel.calibration_suite(seed=0)
-    samples = costmodel.collect_calibration_samples(cases, seed=0)
-    model = costmodel.fit_cost_model(
-        samples, meta={"calibration_seed": 0, "holdout_seed": 101}
-    )
-    model.save(model_artifact)
-    calibration_seconds = time.perf_counter() - start
-
-    holdout = costmodel.holdout_suite(seed=101)
-    instances = {}
-    hits, misses = 0, []
-    start = time.perf_counter()
-    for case in holdout:
-        candidates = [
-            name
-            for name in capable_backends(
-                case.circuit, sampling=True, repetitions=case.repetitions
-            )
-            if case.backends is None or name in case.backends
-        ]
-        measured = {}
-        for name in candidates:
-            simulator = instances.setdefault(name, create_backend(name, seed=0))
-            tick = time.perf_counter()
-            simulator.sample(case.circuit, case.repetitions, seed=0)
-            measured[name] = time.perf_counter() - tick
-        features = costmodel.extract_features(
-            case.circuit, repetitions=case.repetitions
-        )
-        picked = model.rank(features, candidates)[0][0]
-        fastest = min(measured, key=lambda name: (measured[name], name))
-        if picked == fastest:
-            hits += 1
-        else:
-            misses.append(case.label)
-    holdout_seconds = time.perf_counter() - start
-
-    artifact = Path(model_artifact).resolve()
-    try:
-        artifact_label = str(artifact.relative_to(REPO_ROOT))
-    except ValueError:
-        artifact_label = str(artifact)
-    spec = model.to_dict()
-    return {
-        "workload": (
-            f"{len(cases)}-case calibration sweep -> {len(holdout)}-case "
-            f"measured-fastest holdout"
-        ),
-        "calibration_samples": len(samples),
-        "calibration_seconds": round(calibration_seconds, 3),
-        "rmse_log": {
-            name: spec["backends"][name]["rmse_log"] for name in model.backends()
-        },
-        "holdout_cases": len(holdout),
-        "holdout_hits": hits,
-        "holdout_misses": misses,
-        "holdout_seconds": round(holdout_seconds, 3),
-        "accuracy": round(hits / len(holdout), 3),
-        "model_artifact": artifact_label,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT, help="BENCH_all.json path"
-    )
-    parser.add_argument(
-        "--model-artifact",
-        type=Path,
-        default=DEFAULT_MODEL_ARTIFACT,
-        help="where to persist the calibrated cost model",
     )
     parser.add_argument(
         "--only",
@@ -376,7 +295,6 @@ def main(argv=None):
         "stabilizer": bench_stabilizer,
         "optimizer": bench_optimizer,
         "robustness": bench_robustness,
-        "cost_routing": lambda: bench_cost_routing(options.model_artifact),
     }
     payload = {"benchmark": "bench_all", "schema_version": 1}
     metrics = {}
@@ -400,8 +318,6 @@ def main(argv=None):
         metrics["optimizer_speedup"] = payload["optimizer"]["speedup"]
     if "robustness" in payload:
         metrics["robustness_overhead"] = payload["robustness"]["overhead_fraction"]
-    if "cost_routing" in payload:
-        metrics["cost_routing_accuracy"] = payload["cost_routing"]["accuracy"]
     payload["metrics"] = metrics
 
     emit_bench(options.output, payload)

@@ -82,7 +82,6 @@ from .circuits.passes import (
 from .api import (
     BackendCapabilities,
     BatchResult,
-    CostModel,
     Device,
     FaultInjector,
     Job,
@@ -90,10 +89,7 @@ from .api import (
     RetryPolicy,
     backend_capabilities,
     capability_matrix,
-    default_cost_model,
     device,
-    extract_features,
-    fit_cost_model,
     list_backends,
     register_backend,
     resume_job,
@@ -104,7 +100,6 @@ from .densitymatrix import DensityMatrixSimulator
 from .errors import (
     BackendCapabilityError,
     CompilationError,
-    CostModelError,
     InvalidRequestError,
     JobCancelledError,
     JobError,
@@ -201,10 +196,6 @@ __all__ = [
     "capability_matrix",
     "list_backends",
     "register_backend",
-    "CostModel",
-    "fit_cost_model",
-    "default_cost_model",
-    "extract_features",
     "RetryPolicy",
     "FaultInjector",
     "JobJournal",
@@ -214,7 +205,6 @@ __all__ = [
     "BackendCapabilityError",
     "CompilationError",
     "MemoryBudgetError",
-    "CostModelError",
     "InvalidRequestError",
     "RequestTypeError",
     "MissingObservableError",

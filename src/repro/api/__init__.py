@@ -20,14 +20,6 @@ The public surface of the execution layer:
 """
 
 from .capabilities import BackendCapabilities
-from .costmodel import (
-    CircuitFeatures,
-    CostModel,
-    CostSample,
-    default_cost_model,
-    extract_features,
-    fit_cost_model,
-)
 from .device import EXACT_SAMPLING_QUBITS, Device, device
 from .faults import DEFAULT_RETRYABLE, NO_RETRY, FaultInjector, ItemFailure, RetryPolicy
 from .journal import JOB_DIR_ENV, JobJournal, new_job_id, resume_job
@@ -49,9 +41,6 @@ __all__ = [
     "BackendDecision",
     "BackendRegistry",
     "BatchResult",
-    "CircuitFeatures",
-    "CostModel",
-    "CostSample",
     "DEFAULT_RETRYABLE",
     "Device",
     "EXACT_SAMPLING_QUBITS",
@@ -66,10 +55,7 @@ __all__ = [
     "backend_capabilities",
     "capability_matrix",
     "create_backend",
-    "default_cost_model",
     "device",
-    "extract_features",
-    "fit_cost_model",
     "list_backends",
     "new_job_id",
     "register_backend",

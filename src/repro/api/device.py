@@ -57,7 +57,6 @@ from ..linalg.tensor_ops import bits_to_index, index_to_bits
 from ..simulator.results import SampleResult
 from ..stabilizer.simulator import DENSE_PROBABILITY_QUBITS
 from .capabilities import capability_violation
-from .costmodel import CostModel
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
 from .registry import REGISTRY, backend_capabilities, create_backend
@@ -91,9 +90,8 @@ class RunRequest:
 
     Every layer below ``run()`` reads this record: planning, the journal
     manifest, task payloads and the per-item evaluators.  ``item_timeout``
-    and ``predicted`` are finalized after routing (``"auto"`` resolves from
-    the routed backends; ``predicted`` maps item index to the cost model's
-    predicted seconds).
+    is finalized after routing (``"auto"`` resolves from the routed
+    backends).
     """
 
     observables: Tuple[str, ...]
@@ -113,7 +111,6 @@ class RunRequest:
     on_error: str
     memory_budget: Optional[int]
     fault_injector: Optional[FaultInjector]
-    predicted: Dict[int, float] = field(default_factory=dict)
 
     @classmethod
     def validated(
@@ -226,19 +223,6 @@ def _base_row(index: int, resolver: Optional[ParamResolver], backend: str, reaso
         "backend": backend,
         "reason": reason,
     }
-
-
-def _finish_row(row: Dict, index: int, request: RunRequest, started: float) -> Dict:
-    """Attach per-item timing telemetry: measured, and (cost mode) predicted.
-
-    ``elapsed_seconds`` is a pure observation — nothing downstream branches
-    on it, so serial/pooled/resumed runs stay bit-identical in every
-    *result* field while mispredictions remain visible per row.
-    """
-    row["elapsed_seconds"] = time.perf_counter() - started
-    if index in request.predicted:
-        row["predicted_seconds"] = request.predicted[index]
-    return row
 
 
 def _record_samples(row: Dict, samples: SampleResult) -> None:
@@ -440,46 +424,11 @@ def _evaluate_items(
         else:
             started = time.perf_counter()
             row = _evaluate_generic_item(sim, backend, circuit, index, resolver, reason, request)
-        rows.append((index, _finish_row(row, index, request, started)))
+        # Elapsed time is a pure observation: nothing downstream branches on
+        # it, so serial/pooled/resumed runs stay bit-identical in every result.
+        row["elapsed_seconds"] = time.perf_counter() - started
+        rows.append((index, row))
     return rows
-
-
-def _pack_chunks(
-    items: List[WorkItem],
-    chunk_size: int,
-    predicted: Optional[Dict[int, float]],
-    cost_target: float,
-) -> List[List[WorkItem]]:
-    """Split one group's items into pool chunks.
-
-    With cost-mode predictions covering the group (``cost_target > 0``),
-    items are greedily packed until a chunk's *predicted* runtime reaches
-    the target — order-preserving and deterministic, so per-item
-    ``seed + index`` results are unchanged; only the work distribution
-    shifts.  Otherwise falls back to fixed-size slices.
-    """
-    if (
-        cost_target > 0.0
-        and predicted
-        and all(item[0] in predicted for item in items)
-    ):
-        chunks: List[List[WorkItem]] = []
-        current: List[WorkItem] = []
-        current_cost = 0.0
-        for item in items:
-            cost = predicted[item[0]]
-            if current and current_cost + cost > cost_target:
-                chunks.append(current)
-                current = []
-                current_cost = 0.0
-            current.append(item)
-            current_cost += cost
-        if current:
-            chunks.append(current)
-        return chunks
-    return [
-        items[start : start + chunk_size] for start in range(0, len(items), chunk_size)
-    ]
 
 
 def _worker_backend(payload: Dict):
@@ -540,7 +489,8 @@ class Device:
     ----------
     backend:
         A registered backend name, or ``"auto"`` (alias ``"hybrid"``) for
-        per-item routing through the Clifford/topology classifiers.
+        per-item routing by the classification rules of
+        :func:`~repro.api.routing.select_backend`.
     seed:
         Seeds every backend instance this device creates.
     fallback, noisy_fallback:
@@ -554,15 +504,6 @@ class Device:
     backend_options:
         Extra constructor keywords for backends this device creates,
         keyed by backend name.
-    routing:
-        ``"rules"`` (default) routes ``"auto"`` items by the classification
-        rules; ``"cost"`` ranks the capable backends with a calibrated
-        cost model and picks the predicted-fastest (falling back to the
-        rules when no model is available).  Fixed-name devices ignore this.
-    cost_model:
-        A :class:`~repro.api.costmodel.CostModel`, or a path to a persisted
-        artifact, used by ``routing="cost"``.  ``None`` resolves the
-        ambient :func:`~repro.api.costmodel.default_cost_model`.
     """
 
     def __init__(
@@ -573,31 +514,18 @@ class Device:
         noisy_fallback: Optional[str] = None,
         instances: Optional[Dict[str, Any]] = None,
         backend_options: Optional[Dict[str, Dict]] = None,
-        routing: str = "rules",
-        cost_model: Union[None, str, CostModel] = None,
     ):
-        if routing not in ("rules", "cost"):
-            raise InvalidRequestError(
-                f"routing must be 'rules' or 'cost', got {routing!r}"
-            )
-        self.routing = routing
-        self._cost_model: Optional[CostModel] = (
-            CostModel.load(cost_model) if isinstance(cost_model, str) else cost_model
-        )
         self._instances: Dict[str, Any] = dict(instances or {})
         self._backend_options: Dict[str, Dict] = dict(backend_options or {})
         # Constructor spec for job manifests: enough to re-create an
         # equivalent device in a resume (attached instances are rebuilt
-        # fresh from the registry — they may not be picklable).  The cost
-        # model itself is not serialized: a resume replays checkpointed rows
-        # and re-routes only unfinished items, against the ambient artifact.
+        # fresh from the registry — they may not be picklable).
         self._config: Dict[str, Any] = {
             "backend": backend,
             "seed": seed,
             "fallback": fallback,
             "noisy_fallback": noisy_fallback,
             "backend_options": dict(backend_options or {}),
-            "routing": routing,
         }
         # Per-topology memo of knowledge compiles this device performed, so
         # repeated run() calls reuse the artifact even when the simulator's
@@ -726,8 +654,6 @@ class Device:
             resolver,
             fallback=self._fallback_name(circuit, sampling),
             sampling=sampling,
-            mode=self.routing,
-            cost_model=self._cost_model,
             repetitions=repetitions,
         )
 
@@ -1065,7 +991,7 @@ class Device:
                 if 0 <= index < len(items)
             }
 
-        groups, prefailures, predicted = self._plan(items, request, preloaded)
+        groups, prefailures = self._plan(items, request, preloaded)
         item_timeout = request.item_timeout
         if item_timeout == "auto":
             declared = [
@@ -1075,7 +1001,7 @@ class Device:
             ]
             declared = [value for value in declared if value is not None]
             item_timeout = max(declared) if declared else None
-        request = replace(request, item_timeout=item_timeout, predicted=predicted)
+        request = replace(request, item_timeout=item_timeout)
         guarded = fault_tolerant(
             request.retry, request.item_timeout, journal, request.on_error, prefailures
         )
@@ -1104,18 +1030,16 @@ class Device:
     # ------------------------------------------------------------------
     def _plan(
         self, items, request: RunRequest, skip: Dict[int, Dict]
-    ) -> Tuple[List[_Group], List[ItemFailure], Dict[int, float]]:
+    ) -> Tuple[List[_Group], List[ItemFailure]]:
         """Route every item not in ``skip`` and group by (backend, topology).
 
         One compile per distinct topology, one classification and
         canonicalization per distinct circuit object.  Pre-dispatch
         rejections (capability or memory-budget violations) become per-item
         failure records under ``on_error="partial"`` instead of failing the
-        whole submission.  Also returns the cost model's per-item predicted
-        seconds.
+        whole submission.
         """
         prefailures: List[ItemFailure] = []
-        predicted: Dict[int, float] = {}
         topology_of: Dict[int, str] = {}
         groups: Dict[Tuple[str, str], _Group] = {}
         for index, (circuit, resolver) in enumerate(items):
@@ -1138,8 +1062,6 @@ class Device:
                     prefailures.append(ItemFailure((index,), error, 1))
                     continue
                 raise
-            if decision.predicted_seconds is not None:
-                predicted[index] = decision.predicted_seconds
             topology = topology_of.get(id(circuit))
             if topology is None:
                 topology = canonicalize_circuit(
@@ -1150,7 +1072,7 @@ class Device:
             if group is None:
                 group = groups[(decision.backend, topology)] = _Group(decision.backend, topology)
             group.add(index, circuit, resolver, decision.reason)
-        return list(groups.values()), prefailures, predicted
+        return list(groups.values()), prefailures
 
     def _tasks(
         self, groups: List[_Group], request: RunRequest, guarded: bool
@@ -1179,15 +1101,10 @@ class Device:
                 cache_dir = cleanup.name
 
         jobs = max(1, request.jobs)
-        chunk_size, cost_target = 1, 0.0
+        chunk_size = 1
         if not (inline or guarded):
             total_items = sum(len(group.items) for group in groups)
             chunk_size = max(1, math.ceil(total_items / (jobs * 2)))
-            # Cost-aware packing target: split the batch's *predicted*
-            # runtime (not its item count) evenly over ~2 chunks per worker,
-            # so one expensive item no longer drags a whole uniform chunk
-            # behind it.
-            cost_target = sum(request.predicted.values()) / (jobs * 2)
         tasks: List[Tuple] = []
         for group in groups:
             backend, master = group.backend, None
@@ -1215,7 +1132,8 @@ class Device:
                 }
             else:
                 lane = {"backend_options": self._backend_options.get(backend, {})}
-            for chunk in _pack_chunks(group.items, chunk_size, request.predicted, cost_target):
+            for start in range(0, len(group.items), chunk_size):
+                chunk = group.items[start : start + chunk_size]
                 indices = tuple(item[0] for item in chunk)
                 payload = dict(
                     lane, backend=backend, circuits=group.circuits, items=chunk, request=request
@@ -1234,19 +1152,15 @@ def device(
     seed: Optional[int] = None,
     fallback: Optional[str] = None,
     noisy_fallback: Optional[str] = None,
-    routing: str = "rules",
-    cost_model: Union[None, str, CostModel] = None,
     **backend_options,
 ) -> Device:
     """Open an execution device: ``repro.device("auto").run([...])``.
 
     ``backend`` is a registered backend name (see
     :func:`repro.api.registry.list_backends`) or ``"auto"`` for
-    capability-driven per-item routing; ``routing="cost"`` ranks capable
-    backends with a calibrated cost model (``cost_model`` is a
-    :class:`~repro.api.costmodel.CostModel` or artifact path, defaulting to
-    the ambient artifact).  Extra keyword arguments are passed to the
-    backend's constructor (fixed-name devices only).
+    capability-driven per-item routing by the rules of
+    :func:`~repro.api.routing.select_backend`.  Extra keyword arguments are
+    passed to the backend's constructor (fixed-name devices only).
     """
     options: Optional[Dict[str, Dict]] = None
     if backend_options:
@@ -1261,6 +1175,4 @@ def device(
         fallback=fallback,
         noisy_fallback=noisy_fallback,
         backend_options=options,
-        routing=routing,
-        cost_model=cost_model,
     )

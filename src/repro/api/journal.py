@@ -270,7 +270,8 @@ def resume_job(
     Raises
     ------
     JobError
-        When no readable manifest exists for ``job_id``.
+        When no readable manifest exists for ``job_id``, or the job was
+        submitted with cost-model routing, an option that has been removed.
     """
     directory = directory or os.environ.get(JOB_DIR_ENV)
     if not directory:
@@ -285,7 +286,16 @@ def resume_job(
 
     from .device import Device
 
-    device = Device(**manifest["device"])
+    spec = dict(manifest["device"])
+    # Older manifests record the routing policy; rules routing, their
+    # default, is now the only one, so only that value resumes faithfully.
+    routing = spec.pop("routing", "rules")
+    if routing != "rules":
+        raise JobError(
+            f"job {job_id!r} was submitted with routing={routing!r}, an option "
+            "that has been removed; only rules routing remains, so it cannot resume"
+        )
+    device = Device(**spec)
     kwargs = dict(manifest["run"])
     if jobs is not None:
         kwargs["jobs"] = jobs

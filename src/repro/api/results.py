@@ -78,19 +78,16 @@ class BatchResult:
         return [row["backend"] for row in self.rows]
 
     def timings(self) -> List[Dict[str, Any]]:
-        """Per-item predicted-vs-actual runtime telemetry, in item order.
+        """Per-item runtime telemetry, in item order.
 
-        Each entry carries ``index``, ``backend``, ``elapsed_seconds``
-        (measured around the item's evaluation) and ``predicted_seconds``
-        (the cost model's estimate under ``routing="cost"``, else ``None``)
-        — the observability hook for spotting cost-model mispredictions.
+        Each entry carries ``index``, ``backend`` and ``elapsed_seconds``
+        (measured around the item's evaluation).
         """
         return [
             {
                 "index": row["index"],
                 "backend": row["backend"],
                 "elapsed_seconds": row.get("elapsed_seconds"),
-                "predicted_seconds": row.get("predicted_seconds"),
             }
             for row in self.rows
         ]

@@ -8,8 +8,8 @@ state vectors) in :meth:`repro.api.device.Device` — both layers produce
 :class:`BackendDecision` records so callers can assert *why* a circuit went
 where it did.
 
-Routing rules (``mode="rules"``, the default)
----------------------------------------------
+Routing rules
+-------------
 * all gates Clifford, no noise  -> ``stabilizer`` for both entry points;
 * all gates Clifford, all noise single-qubit Pauli mixtures ->
   ``stabilizer`` for ``sample`` (stochastic Pauli unravelling); ``simulate``
@@ -21,28 +21,16 @@ Routing rules (``mode="rules"``, the default)
   :data:`FALLBACK_PREFERENCE` order, and
   :class:`~repro.errors.BackendCapabilityError` is raised only when *no*
   registered backend can serve the item.
-
-Cost-model routing (``mode="cost"``)
-------------------------------------
-With a calibrated :class:`~repro.api.costmodel.CostModel` (passed
-explicitly or resolved via
-:func:`~repro.api.costmodel.default_cost_model`), the decision becomes:
-enumerate the capable backends, predict each one's runtime from the item's
-features, and pick the predicted-fastest.  Capability and memory-budget
-filters run *before* the ranking, so the cost path can never select a
-backend the rules path would reject.  When no model (or no priced capable
-backend) is available the rules path decides, so ``mode="cost"`` is always
-safe to request.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..circuits.circuit import Circuit
 from ..circuits.clifford import CircuitClass, classify_circuit
 from ..circuits.parameters import ParamResolver
-from ..errors import BackendCapabilityError, CostModelError
+from ..errors import BackendCapabilityError
 from .capabilities import capability_violation
 
 #: Static cheapest-first substitution order used when the requested
@@ -60,15 +48,10 @@ FALLBACK_PREFERENCE: Tuple[str, ...] = (
 
 
 class BackendDecision(NamedTuple):
-    """One routing decision: the chosen backend name plus the reason.
-
-    ``predicted_seconds`` is populated by cost-model routing
-    (``mode="cost"``) and ``None`` on the rule-based path.
-    """
+    """One routing decision: the chosen backend name plus the reason."""
 
     backend: str
     reason: str
-    predicted_seconds: Optional[float] = None
 
 
 def _can_serve(
@@ -94,34 +77,6 @@ def _can_serve(
             batch_size=max(1, repetitions),
         )
         is None
-    )
-
-
-def capable_backends(
-    circuit: Circuit,
-    resolver: Optional[ParamResolver] = None,
-    sampling: bool = True,
-    repetitions: int = 0,
-    memory_budget: Optional[int] = None,
-    candidates: Optional[Sequence[str]] = None,
-) -> List[str]:
-    """Registered backends whose declared capabilities can serve ``circuit``.
-
-    Sorted by name for determinism; ``candidates`` restricts the pool
-    (names are resolved through registry aliases).
-    """
-    from .registry import REGISTRY
-
-    classification = classify_circuit(circuit, resolver)
-    pool = REGISTRY.names() if candidates is None else [
-        REGISTRY.resolve(name) for name in candidates
-    ]
-    return sorted(
-        name
-        for name in set(pool)
-        if _can_serve(
-            name, classification, circuit.num_qubits, sampling, repetitions, memory_budget
-        )
     )
 
 
@@ -167,38 +122,20 @@ def select_backend(
     resolver: Optional[ParamResolver] = None,
     fallback: str = "state_vector",
     sampling: bool = True,
-    mode: str = "rules",
-    cost_model: Optional[object] = None,
     repetitions: int = 0,
     memory_budget: Optional[int] = None,
 ) -> BackendDecision:
-    """Choose the backend for ``circuit``.
+    """Choose the backend for ``circuit`` by the classification rules above.
 
-    ``mode="rules"`` (default) applies the classification rules above:
-    stabilizer for Clifford work, otherwise the cheapest *capable* backend
-    starting from ``fallback``.  ``mode="cost"`` ranks the capable backends
-    with a calibrated cost model and picks the predicted-fastest, falling
-    back to the rules when no model is available.  ``sampling=False`` asks
-    for the ``simulate`` route, where noisy circuits always leave the
-    tableau (it cannot represent a mixed state).
+    Stabilizer for Clifford work, otherwise the cheapest *capable* backend
+    starting from ``fallback``.  ``sampling=False`` asks for the
+    ``simulate`` route, where noisy circuits always leave the tableau (it
+    cannot represent a mixed state).
 
     ``repetitions`` and ``memory_budget`` refine capability filtering (the
-    trajectory ensemble's batch-aware memory estimate) and, in cost mode,
-    the runtime prediction.
+    trajectory ensemble's batch-aware memory estimate).
     """
-    if mode not in ("rules", "cost"):
-        raise BackendCapabilityError(
-            f"routing mode must be 'rules' or 'cost', got {mode!r}"
-        )
     classification = classify_circuit(circuit, resolver)
-    if mode == "cost":
-        decision = _select_by_cost(
-            circuit, resolver, classification, sampling, cost_model,
-            repetitions, memory_budget,
-        )
-        if decision is not None:
-            return decision
-        # No model / no priced capable backend: the rules decide.
     if classification.clifford and classification.pauli_noise:
         if classification.has_noise:
             if sampling:
@@ -215,44 +152,3 @@ def select_backend(
         circuit, classification, sampling, repetitions, memory_budget,
     )
 
-
-def _select_by_cost(
-    circuit: Circuit,
-    resolver: Optional[ParamResolver],
-    classification: CircuitClass,
-    sampling: bool,
-    cost_model: Optional[object],
-    repetitions: int,
-    memory_budget: Optional[int],
-) -> Optional[BackendDecision]:
-    """The cost-ranked decision, or ``None`` when the rules must decide."""
-    from .costmodel import CostModel, default_cost_model, extract_features
-
-    model = cost_model if cost_model is not None else default_cost_model()
-    if model is None:
-        return None
-    if not isinstance(model, CostModel):
-        raise CostModelError(
-            f"cost_model must be a repro.api.costmodel.CostModel, got {type(model).__name__}"
-        )
-    candidates = capable_backends(
-        circuit,
-        resolver,
-        sampling=sampling,
-        repetitions=repetitions,
-        memory_budget=memory_budget,
-    )
-    if not candidates:
-        # Preserve the rules path's typed error for impossible items.
-        return None
-    features = extract_features(circuit, resolver, repetitions=repetitions)
-    ranked = model.rank(features, candidates)
-    if not ranked:
-        return None
-    best, seconds = ranked[0]
-    return BackendDecision(
-        best,
-        f"cost model v{model.version}: predicted {seconds:.4g}s, "
-        f"fastest of {len(ranked)} priced capable backend(s)",
-        predicted_seconds=seconds,
-    )

@@ -41,10 +41,6 @@ can catch the precise class:
     A work item's estimated dense ``2^n`` footprint exceeds the submission's
     memory budget and no capable cheaper backend exists.  Raised *before*
     the allocation is attempted.
-``CostModelError``
-    A calibrated cost-model artifact is malformed, version-incompatible, or
-    queried for a backend it was never fitted on.  Routing falls back to the
-    rule-based path rather than guessing.
 ``InvalidRequestError`` / ``RequestTypeError``
     The submission itself is malformed — an unknown option value, a
     non-``Circuit`` argument, inconsistent sweep shapes.  These replace the
@@ -80,10 +76,6 @@ class BackendCapabilityError(ReproError, ValueError):
 
 class MemoryBudgetError(BackendCapabilityError):
     """The item's estimated memory footprint exceeds the submission budget."""
-
-
-class CostModelError(ReproError, ValueError):
-    """A cost-model artifact is malformed, incompatible, or unfitted."""
 
 
 class InvalidRequestError(ReproError, ValueError):
@@ -143,7 +135,6 @@ __all__ = [
     "UnsupportedCircuitError",
     "BackendCapabilityError",
     "MemoryBudgetError",
-    "CostModelError",
     "InvalidRequestError",
     "RequestTypeError",
     "MissingObservableError",

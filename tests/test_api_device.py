@@ -31,7 +31,9 @@ from repro import (
     select_backend,
 )
 from repro.api import backend_capabilities, capability_matrix, list_backends
+from repro.api.capabilities import capability_violation
 from repro.api.device import Device
+from repro.circuits.clifford import classify_circuit
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.errors import BackendCapabilityError
 from repro.knowledge.compiler import KnowledgeCompiler
@@ -55,6 +57,17 @@ def _mixed_batch(num_items=102):
                 Circuit([H(q[0]), CNOT(q[0], q[1])]).with_noise(lambda: depolarize(0.04))
             )
     return batch
+
+
+def _clifford(n=3):
+    q = LineQubit.range(n)
+    return Circuit([H(q[0])] + [CNOT(q[i], q[i + 1]) for i in range(n - 1)])
+
+
+def _nonclifford(n=3, angle=0.3):
+    q = LineQubit.range(n)
+    ops = [H(q[0]), Rx(angle)(q[1])] + [CNOT(q[i], q[i + 1]) for i in range(n - 1)]
+    return Circuit(ops)
 
 
 class TestAutoRoutingParity:
@@ -323,3 +336,93 @@ class TestRunSurface:
         q = LineQubit.range(2)
         simulator.sample(Circuit([H(q[0]), CNOT(q[0], q[1])]), 5)
         assert simulator.last_decision.backend == "stabilizer"
+
+
+class TestCapableFallback:
+    def test_incapable_fallback_is_substituted(self):
+        # 20 noisy non-Clifford qubits: the 13-qubit density matrix cannot
+        # serve the item; the old router would have dispatched it anyway.
+        noisy = _nonclifford(20).with_noise(lambda: depolarize(0.01))
+        decision = select_backend(noisy, fallback="density_matrix")
+        assert decision.backend == "state_vector"
+        assert "cannot serve this item" in decision.reason
+
+    def test_simulate_route_substitutes_unravelling_backend(self):
+        # 20 noisy qubits overflow the 13-qubit density matrix; the
+        # simulate route substitutes the state vector, which serves noisy
+        # simulate by stochastic unravelling (Device enforces mixed-state
+        # output only for probability/expectation observables).
+        noisy = _nonclifford(20).with_noise(lambda: depolarize(0.01))
+        decision = select_backend(noisy, fallback="density_matrix", sampling=False)
+        assert decision.backend == "state_vector"
+
+    def test_impossible_item_raises_typed_error(self):
+        noisy = _nonclifford(40).with_noise(lambda: depolarize(0.01))
+        with pytest.raises(BackendCapabilityError):
+            select_backend(noisy)
+
+    def test_unregistered_fallback_is_preserved(self):
+        # Attached-instance keys (HybridSimulator) bypass capability checks:
+        # the caller vouches for them.
+        decision = select_backend(_nonclifford(4), fallback="state_vector#custom")
+        assert decision.backend == "state_vector#custom"
+
+
+class TestBatchAwareMemory:
+    def test_trajectory_estimate_scales_with_batch(self):
+        caps = backend_capabilities("trajectory")
+        single = caps.estimated_memory_bytes(10)
+        assert caps.estimated_memory_bytes(10, batch_size=64) == 64 * single
+        # Chunked execution clamps the resident batch at max_batch_size.
+        assert (
+            caps.estimated_memory_bytes(10, batch_size=100_000)
+            == caps.max_batch_size * single
+        )
+
+    def test_serial_backends_ignore_batch(self):
+        caps = backend_capabilities("state_vector")
+        assert caps.estimated_memory_bytes(10, batch_size=64) == (
+            caps.estimated_memory_bytes(10)
+        )
+
+    def test_budget_filtering_reacts_to_repetitions(self):
+        noisy = _nonclifford(10).with_noise(lambda: depolarize(0.01))
+        budget = 64 * 16 * 2**10  # 64 trajectory rows at n=10
+        classification = classify_circuit(noisy)
+
+        def trajectory_violation(repetitions):
+            return capability_violation(
+                backend_capabilities("trajectory"),
+                noisy.num_qubits,
+                classification.has_noise,
+                ("samples",),
+                clifford=classification.clifford,
+                pauli_noise=classification.pauli_noise,
+                memory_budget=budget,
+                batch_size=repetitions,
+            )
+
+        assert trajectory_violation(8) is None
+        assert trajectory_violation(512) is not None
+
+    def test_downgrade_path_both_directions(self):
+        noisy = _nonclifford(10).with_noise(lambda: depolarize(0.01))
+        budget = 64 * 16 * 2**10
+        kept = select_backend(
+            noisy, fallback="trajectory", repetitions=8, memory_budget=budget
+        )
+        downgraded = select_backend(
+            noisy, fallback="trajectory", repetitions=512, memory_budget=budget
+        )
+        assert kept.backend == "trajectory"
+        assert downgraded.backend == "state_vector"
+        assert "cannot serve this item" in downgraded.reason
+
+
+class TestTimings:
+    def test_timings_report_measured_seconds(self):
+        timings = (
+            device("auto", seed=3).run([_clifford(3)], repetitions=16).result().timings()
+        )
+        assert timings[0]["backend"] == "stabilizer"
+        assert timings[0]["elapsed_seconds"] > 0

@@ -323,3 +323,60 @@ print("UNREACHABLE")
             resumed = resume_job(job.job_id, directory=str(tmp_path))
             assert counter.items == []
             assert resumed.done()
+
+
+class TestManifestCompatibility:
+    """Manifests written while ``Device`` still took a ``routing`` option."""
+
+    @staticmethod
+    def _mixed():
+        qubits = LineQubit.range(3)
+        rotated = Circuit([Rx(0.4).on(qubits[0]), CNOT(qubits[0], qubits[1]), measure(*qubits)])
+        return [_ghz(), rotated, _ghz(), rotated]
+
+    @staticmethod
+    def _write_legacy_manifest(directory, job_id, circuits, routing):
+        """A manifest in the older format: the device spec names its routing."""
+        run = {
+            "observables": ("samples",), "repetitions": 32, "seed": 0, "jobs": 1,
+            "qubit_order": None, "initial_bits": None, "objective": None,
+            "sampling": "auto", "retry": None, "item_timeout": None,
+            "on_error": "raise", "memory_budget": None,
+        }
+        journal = JobJournal(str(directory), job_id)
+        journal.write_manifest(
+            {
+                "device": {
+                    "backend": "auto", "seed": 9, "fallback": None,
+                    "noisy_fallback": None, "backend_options": {}, "routing": routing,
+                },
+                "run": dict(run, circuits=list(circuits), params=[None] * len(circuits)),
+            }
+        )
+        return journal
+
+    def test_new_manifests_do_not_record_routing(self, tmp_path):
+        job = device("auto", seed=9).run([_ghz()], repetitions=8, checkpoint=str(tmp_path))
+        job.result()
+        manifest = JobJournal(str(tmp_path), job.job_id).load_manifest()
+        assert "routing" not in manifest["device"]
+
+    def test_rules_manifest_resumes_bit_identical(self, tmp_path, monkeypatch):
+        circuits = self._mixed()
+        clean = device("auto", seed=9).run(circuits, repetitions=32).result()
+        assert set(clean.backends()) == {"stabilizer", "state_vector"}
+        journal = self._write_legacy_manifest(tmp_path, "legacy-rules", circuits, "rules")
+        for index in (0, 1):
+            journal.checkpoint_row(index, clean[index])
+        journal.close()
+
+        counter = _EvaluationCounter(monkeypatch)
+        resumed = resume_job("legacy-rules", directory=str(tmp_path)).result()
+        assert sorted(counter.items) == [2, 3]
+        assert resumed.backends() == clean.backends()
+        assert _rows_equal(resumed, clean)
+
+    def test_cost_manifest_raises_typed_error(self, tmp_path):
+        self._write_legacy_manifest(tmp_path, "legacy-cost", [_ghz()], "cost")
+        with pytest.raises(JobError, match="routing='cost'"):
+            resume_job("legacy-cost", directory=str(tmp_path))

@@ -20,7 +20,6 @@ sweep_speedup                 ~25x          >= 3.0   (~8x slack)
 stabilizer_seconds            ~0.65s        <= 2.0   (~3x slack)
 optimizer_speedup             ~3.6x         >= 1.25  (~3x slack)
 robustness_overhead           ~0.07         <= 0.60  (~9x slack)
-cost_routing_accuracy         1.00          >= 0.80  (10 misses/50)
 ===========================  ============  =======================
 
 Usage::
@@ -39,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SECTIONS = ("api", "sweep", "stabilizer", "optimizer", "robustness", "cost_routing")
+SECTIONS = ("api", "sweep", "stabilizer", "optimizer", "robustness")
 
 # metric -> (env override, default bound, "min" floor or "max" ceiling)
 GATES = {
@@ -48,7 +47,6 @@ GATES = {
     "stabilizer_seconds": ("BENCH_STABILIZER_MAX_SECONDS", 2.0, "max"),
     "optimizer_speedup": ("BENCH_OPTIMIZER_MIN_SPEEDUP", 1.25, "min"),
     "robustness_overhead": ("BENCH_ROBUSTNESS_MAX_OVERHEAD", 0.60, "max"),
-    "cost_routing_accuracy": ("BENCH_COST_ROUTING_MIN_ACCURACY", 0.80, "min"),
 }
 
 
