@@ -3,7 +3,7 @@
 Compares, on the Figure 7 QAOA workloads (ideal 8-qubit and noisy 4-qubit):
 
 * scalar-chain Gibbs sampling (``num_chains=1``, a fresh sampler per draw —
-  the seed's cost model of one upward+downward pass per sample) against the
+  the seed's cost model of one circuit pass per sample) against the
   batched chain ensemble (warm reuse across calls, the variational-loop usage);
 * looped per-amplitude ``state_vector`` reconstruction against the chunked
   batched reconstruction.

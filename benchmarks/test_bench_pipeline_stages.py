@@ -2,9 +2,10 @@
 
 Not a paper table per se, but the per-stage costs DESIGN.md calls out:
 circuit -> Bayesian network, network -> CNF, CNF -> d-DNNF, elision/smoothing,
-weight re-binding and single amplitude queries.  These quantify where time
-goes and how cheap the "repeat with new parameters" path is compared with a
-full recompilation — the design choice at the heart of the paper.
+weight re-binding, single amplitude queries, gradient passes and Gibbs moves.
+These quantify where time goes and how cheap the "repeat with new parameters"
+path is compared with a full recompilation — the design choice at the heart
+of the paper.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from repro.bayesnet import circuit_to_bayesnet
 from repro.cnf import encode_bayesnet
 from repro.knowledge import ArithmeticCircuit, KnowledgeCompiler, forget, smooth
+from repro.sampling import GibbsSampler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
 
@@ -86,12 +88,34 @@ def test_stage_single_amplitude_query(benchmark, compiled, resolver):
 
 
 def test_stage_upward_downward_pass(benchmark, compiled, resolver):
-    """The per-Gibbs-step cost: one upward + downward differential sweep."""
+    """The gradient-query cost: one upward + downward differential sweep.
+
+    Sensitivity queries pay it; the Gibbs sampler does not (see below).
+    """
     literal_values, _ = compiled.base_literal_values(resolver)
     compiled.apply_evidence(literal_values, compiled.assignment_for([0] * NUM_QUBITS))
     ac = compiled.arithmetic_circuit
     benchmark(lambda: ac.evaluate_with_derivatives(literal_values))
     benchmark.extra_info["ac_edges"] = ac.num_edges
+
+
+def test_stage_gibbs_transition(benchmark, compiled, resolver):
+    """The per-Gibbs-step cost: one bit resampled on each of 64 chains.
+
+    A move scores each chain's flipped neighbour with one batched upward
+    pass; the current weights are cached on the ensemble.
+    """
+    sampler = GibbsSampler(compiled, resolver=resolver, rng=np.random.default_rng(3))
+    states, weights = sampler.initial_states(64)
+
+    def transition():
+        bit_indices = sampler.rng.integers(0, len(sampler.bits), size=states.shape[0])
+        return sampler._resample(states, bit_indices, weights)
+
+    benchmark(transition)
+    assert np.all(weights > 0.0)
+    benchmark.extra_info["chains"] = states.shape[0]
+    benchmark.extra_info["free_bits"] = len(sampler.bits)
 
 
 def test_stage_elision_ablation(benchmark, ansatz):

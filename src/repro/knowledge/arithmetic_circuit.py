@@ -7,9 +7,9 @@ addition — is the paper's arithmetic circuit (Figure 5).  Two passes matter:
 * the **upward pass** computes the weighted model count, which in the
   quantum encoding is the amplitude of the evidence (Section 3.3.1);
 * the **downward pass** computes the partial derivative of the root with
-  respect to every leaf (Darwiche's differential approach), which yields the
-  amplitude of every single-flip neighbour of the current assignment in one
-  sweep — exactly what the Gibbs sampler needs (Section 3.3.2).
+  respect to every leaf (Darwiche's differential approach), which serves
+  gradient (sensitivity) queries in ``knowledge.queries``.  The Gibbs
+  sampler reads one flipped neighbour per chain: upward passes only.
 
 Values are complex (quantum amplitudes); noise probabilities embed as the
 real entries of Kraus operators.  Both passes are vectorised: nodes are
@@ -249,7 +249,7 @@ class ArithmeticCircuit:
         re-binding, Gibbs sweeps, chunked state-vector reconstruction) reuse
         the same buffers call after call.  The gradients buffer is allocated
         lazily so upward-only callers (amplitude queries, state-vector
-        chunks) pay for one buffer, not two.
+        chunks, Gibbs moves) pay for one buffer, not two.
         """
         workspace = self._workspaces.get(batch)
         if workspace is None:
@@ -280,30 +280,29 @@ class ArithmeticCircuit:
         return literal_values
 
     def _upward_batch(
-        self, literal_values: np.ndarray, values: np.ndarray
+        self, literal_values: np.ndarray, values: np.ndarray, track_zeros: bool = False
     ) -> List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
         """Bottom-up pass over a ``(B, num_vars + 1, 2)`` binding batch.
 
-        Fills the ``(num_nodes, B)`` ``values`` array in place and returns the
-        per-AND-group zero bookkeeping needed by the downward pass: the zero
-        counts and zero-masked products per node, plus the per-edge child zero
-        mask and the gathered child values with zeros replaced by one (reused
-        by the downward pass as a division-safe denominator).
+        Fills the ``(num_nodes, B)`` ``values`` array in place.  Only with
+        ``track_zeros`` does it keep (and return) the per-AND-group zero
+        bookkeeping the downward pass needs: zero counts and zero-masked
+        products per node, the per-edge child zero mask, and the gathered
+        children with zeros replaced by one (a division-safe denominator).
         """
-        values.fill(0.0)
-        if len(self._true_positions):
-            values[self._true_positions] = 1.0
-        if len(self._literal_positions):
-            values[self._literal_positions] = literal_values[
-                :, self._literal_vars, self._literal_signs
-            ].T
+        # Every AND/OR node is written by its group below; only leaves need filling.
+        values[self._false_positions] = 0.0
+        values[self._true_positions] = 1.0
+        values[self._literal_positions] = literal_values[
+            :, self._literal_vars, self._literal_signs
+        ].T
 
         and_bookkeeping: List[
             Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
         ] = []
         for group in self._groups:
             gathered = values[group.child_indices]
-            if group.is_and:
+            if group.is_and and track_zeros:
                 zero_mask = gathered == 0
                 zero_counts = np.add.reduceat(
                     zero_mask.astype(np.int32), group.offsets, axis=0
@@ -312,9 +311,10 @@ class ArithmeticCircuit:
                 nonzero_product = np.multiply.reduceat(gathered, group.offsets, axis=0)
                 values[group.node_positions] = np.where(zero_counts > 0, 0.0 + 0j, nonzero_product)
                 and_bookkeeping.append((zero_counts, nonzero_product, zero_mask, gathered))
-            else:
-                values[group.node_positions] = np.add.reduceat(gathered, group.offsets, axis=0)
-                and_bookkeeping.append(None)
+                continue
+            reduce = np.multiply if group.is_and else np.add
+            values[group.node_positions] = reduce.reduceat(gathered, group.offsets, axis=0)
+            and_bookkeeping.append(None)
         return and_bookkeeping
 
     def evaluate_batch(self, literal_values: np.ndarray) -> np.ndarray:
@@ -348,7 +348,7 @@ class ArithmeticCircuit:
             return np.zeros(0, dtype=complex), np.zeros_like(literal_values, dtype=complex)
         values = self._workspace_for(batch)["values"]
         gradients = self._gradients_buffer(batch)
-        and_bookkeeping = self._upward_batch(literal_values, values)
+        and_bookkeeping = self._upward_batch(literal_values, values, track_zeros=True)
 
         gradients.fill(0.0)
         gradients[self.root_index] = 1.0

@@ -6,13 +6,13 @@ is proportional to the squared magnitude of the amplitude of the full
 assignment, so the marginal over the qubit bits is exactly the measurement
 distribution of the noisy circuit.
 
-Each step resamples one retained *bit* from its conditional distribution.  A
-single upward + downward differential pass over the arithmetic circuit
-yields the amplitude of every single-bit change at once, so the per-step
-cost is linear in the size of the compiled circuit.  An occasional
-independence (full-redraw) Metropolis move keeps the chain ergodic on
-circuits whose amplitude distribution contains exact zeros (Clifford-like
-circuits), without changing the stationary distribution.
+Each step resamples one retained *bit* from its conditional distribution.
+The current state's squared amplitude is cached, so one upward pass over the
+arithmetic circuit, for the state with that bit flipped, completes the
+conditional: the per-step cost is linear in the size of the compiled
+circuit.  An occasional independence (full-redraw) Metropolis move keeps the
+chain ergodic on circuits whose amplitude distribution contains exact zeros
+(Clifford-like circuits), without changing the stationary distribution.
 
 Chain ensembles
 ---------------
@@ -21,9 +21,8 @@ state lives in a ``(num_chains, num_retained_variables)`` integer matrix,
 and every move is batched through the arithmetic circuit's batch axis:
 
 * the initial-state search redraws all still-zero-amplitude chains together;
-* one batched upward + downward pass resamples one bit per chain — each
-  chain picks its *own* random bit, since the differential pass yields the
-  conditional of every bit simultaneously;
+* one batched upward pass over the flipped states resamples one bit per
+  chain — each chain picks its *own* random bit;
 * independence moves propose a full redraw for every chain at once (noise
   selectors drawn proportionally to their CAT magnitudes, with the exact
   Metropolis–Hastings correction) and reuse the cached current-state
@@ -94,7 +93,6 @@ class GibbsSampler:
                     self.bits.append(
                         RetainedBit(variable.node_name, bit_index, bit_var, variable.width)
                     )
-        self._variable_by_name = {variable.node_name: variable for variable in self.variables}
         self._column_by_name = {
             variable.node_name: column for column, variable in enumerate(self.variables)
         }
@@ -116,9 +114,8 @@ class GibbsSampler:
                 if forced:
                     self._forced_set[column] |= 1 << shift
 
-        # Per-free-bit lookup arrays: CNF variable, state column and bit shift,
-        # so a batched pass can resample a *different* bit on every chain.
-        self._bit_vars = np.asarray([bit.variable for bit in self.bits], dtype=np.int64)
+        # Per-free-bit lookup arrays: state column and bit shift, so a batched
+        # pass can resample a *different* bit on every chain.
         self._bit_columns = np.asarray(
             [self._column_by_name[bit.node_name] for bit in self.bits], dtype=np.int64
         )
@@ -165,7 +162,6 @@ class GibbsSampler:
         # dominant noise branch, which is what makes naive restarts mix slowly;
         # the Metropolis–Hastings ratio below corrects for the bias exactly.
         compiled = self.compiled
-        self._proposal_weights: List[np.ndarray] = []
         self._proposal_log_weights: List[np.ndarray] = []
         self._proposal_cumulative: List[np.ndarray] = []
         for column, variable in enumerate(self.variables):
@@ -209,7 +205,6 @@ class GibbsSampler:
                 weights = uniform
             with np.errstate(divide="ignore"):
                 log_weights = np.log(weights)
-            self._proposal_weights.append(weights)
             self._proposal_log_weights.append(log_weights)
             self._proposal_cumulative.append(np.cumsum(weights))
 
@@ -281,30 +276,44 @@ class GibbsSampler:
             "could not find a non-zero-probability initial state for Gibbs sampling"
         )
 
+    def _conditional_weights(
+        self,
+        states: np.ndarray,
+        bit_indices: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each chain's squared amplitude with its chosen bit set to 1 and to 0.
+
+        The flipped states take one batched upward pass; the current weights
+        come from ``weights``, or join that pass (``2C`` wide) without it.
+        """
+        rows = np.arange(states.shape[0])
+        columns = self._bit_columns[bit_indices]
+        masks = np.int64(1) << self._bit_shifts[bit_indices]
+        flipped = states.copy()
+        flipped[rows, columns] ^= masks
+        if weights is None:
+            both = np.abs(self._amplitudes(np.concatenate((states, flipped)))) ** 2
+            weights, flipped_weights = np.split(both, 2)
+        else:
+            flipped_weights = np.abs(self._amplitudes(flipped)) ** 2
+        is_one = (states[rows, columns] & masks) != 0
+        weight_one = np.where(is_one, weights, flipped_weights)
+        return weight_one, np.where(is_one, flipped_weights, weights)
+
     def _resample(
         self,
         states: np.ndarray,
         bit_indices: np.ndarray,
         weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Resample one (per-chain) bit on every chain in one differential pass.
+        """Resample one (per-chain) bit on every chain from one upward pass.
 
-        ``bit_indices`` selects an entry of :attr:`bits` per chain; the single
-        batched upward + downward pass yields every chain's conditional for
-        *its own* bit, so chains need not resample the same coordinate.
-        Mutates ``states`` (and ``weights``, if given) in place and returns
-        each chain's new squared-amplitude weight.
+        ``bit_indices`` selects an entry of :attr:`bits` per chain.  Mutates
+        ``states`` (and ``weights``, if given) in place and returns each
+        chain's new squared-amplitude weight.
         """
-        buffer, zero_rows = self._bind_states(states)
-        _, derivatives = self.compiled.arithmetic_circuit.evaluate_with_derivatives_batch(buffer)
-        rows = np.arange(states.shape[0])
-        variables = self._bit_vars[bit_indices]
-        amplitude_one = derivatives[rows, variables, 1] * self._constant
-        amplitude_zero = derivatives[rows, variables, 0] * self._constant
-        weight_one = np.abs(amplitude_one) ** 2
-        weight_zero = np.abs(amplitude_zero) ** 2
-        weight_one[zero_rows] = 0.0
-        weight_zero[zero_rows] = 0.0
+        weight_one, weight_zero = self._conditional_weights(states, bit_indices, weights)
         total = weight_one + weight_zero
 
         probability_one = np.divide(
@@ -312,6 +321,7 @@ class GibbsSampler:
         )
         proposed_bits = (self.rng.random(states.shape[0]) < probability_one).astype(np.int64)
 
+        rows = np.arange(states.shape[0])
         columns = self._bit_columns[bit_indices]
         shifts = self._bit_shifts[bit_indices]
         current = states[rows, columns]
@@ -348,12 +358,11 @@ class GibbsSampler:
 
     def sweep_batch(self, states: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """One systematic-scan sweep over every retained bit, all chains at once."""
-        new_weights = weights
+        if weights is None:
+            weights = np.abs(self._amplitudes(states)) ** 2
         for bit in self.bits:
-            new_weights = self.step_batch(states, bit, weights)
-        if new_weights is None:
-            new_weights = np.abs(self._amplitudes(states)) ** 2
-        return new_weights
+            self.step_batch(states, bit, weights)
+        return weights
 
     def independence_move_batch(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Metropolis–Hastings full-redraw move for every chain at once.
@@ -424,16 +433,8 @@ class GibbsSampler:
             for column, variable in enumerate(self.variables)
         }
 
-    def _literal_values_for(self, state: Dict[str, int]) -> np.ndarray:
-        literal_values = self._base_literal_values.copy()
-        self.compiled.apply_evidence(literal_values, state)
-        return literal_values
-
     def _amplitude(self, state: Dict[str, int]) -> complex:
         return complex(self._amplitudes(self._encode_state(state))[0])
-
-    def _random_state(self) -> Dict[str, int]:
-        return self._decode_state(self._random_states(1)[0])
 
     def initial_state(self) -> Dict[str, int]:
         """Find a starting assignment with non-zero probability."""
@@ -480,8 +481,7 @@ class GibbsSampler:
         transitions separate consecutive recording rounds, and every round
         records one sample per chain.  The default ensemble size is
         ``min(num_samples, DEFAULT_MAX_CHAINS)``; ``num_chains=1`` recovers
-        the paper's single-chain cost model of one upward + downward pass per
-        drawn sample.
+        a single-chain cost of one upward pass per drawn sample.
 
         The equilibrated ensemble persists on the sampler: a later
         ``sample()`` call with the same ``num_chains`` continues the chains

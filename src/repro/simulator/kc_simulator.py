@@ -6,8 +6,8 @@ Pipeline (Figure 4 of the paper):
 2. Bayesian network -> weighted CNF (:mod:`repro.cnf`);
 3. CNF -> d-DNNF / arithmetic circuit (:mod:`repro.knowledge`), with
    intermediate qubit states elided and the circuit smoothed;
-4. repeated amplitude queries (upward passes) and Gibbs sampling (upward +
-   downward passes) with per-run numeric parameters.
+4. repeated amplitude queries and Gibbs sampling (both upward passes over
+   the arithmetic circuit) with per-run numeric parameters.
 
 The compile step is performed once per circuit *structure*; variational
 iterations only re-bind weight values.

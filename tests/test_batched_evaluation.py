@@ -4,6 +4,9 @@ The batched APIs (``evaluate_batch`` / ``evaluate_with_derivatives_batch`` /
 ``CompiledCircuit.amplitudes``) must agree with the scalar path elementwise —
 including the forced-literal shortcut and all-zero-amplitude rows — and the
 multi-chain Gibbs ensemble must converge to the exact output distribution.
+The lean upward pass must agree with the differential pass's bookkeeping
+variant, and the Gibbs sampler's flip-and-upward conditionals with the
+derivative reads they replace.
 """
 
 import itertools
@@ -12,20 +15,56 @@ import numpy as np
 import pytest
 
 from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, Rz, depolarize
+from repro.knowledge.arithmetic_circuit import NODE_AND, NODE_LITERAL, NODE_OR, NODE_TRUE
 from repro.sampling import GibbsSampler, total_variation_distance
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 
 
-def _random_literal_batch(circuit_ac, batch, rng):
+def _random_literal_batch(circuit_ac, batch, rng, zero_fraction=0.15):
     literal_values = np.ones((batch, circuit_ac.num_vars + 1, 2), dtype=complex)
     literal_values += 0.5 * (
         rng.standard_normal(literal_values.shape)
         + 1j * rng.standard_normal(literal_values.shape)
     )
     # Sprinkle exact zeros so the zero-bookkeeping paths are exercised.
-    zero_mask = rng.random(literal_values.shape) < 0.15
+    zero_mask = rng.random(literal_values.shape) < zero_fraction
     literal_values[zero_mask] = 0.0
     return literal_values
+
+
+def _reference_node_values(circuit_ac, literal_values):
+    """Node-by-node evaluation of one binding (children precede parents)."""
+    values = []
+    for node_type, literal, children in zip(
+        circuit_ac.node_types, circuit_ac.literals, circuit_ac.children
+    ):
+        if node_type == NODE_LITERAL:
+            values.append(literal_values[abs(literal), int(literal > 0)])
+        elif node_type == NODE_AND:
+            values.append(np.prod([values[child] for child in children]))
+        elif node_type == NODE_OR:
+            values.append(np.sum([values[child] for child in children]))
+        else:
+            values.append(complex(node_type == NODE_TRUE))
+    return values
+
+
+def _derivative_conditionals(sampler, states, bit_indices):
+    """Each chain's weight with its chosen bit 1 / 0, read off one differential pass.
+
+    Also returns the mask of rows contradicting a CNF-forced bit.
+    """
+    buffer, zero_rows = sampler._bind_states(states)
+    ac = sampler.compiled.arithmetic_circuit
+    _, derivatives = ac.evaluate_with_derivatives_batch(buffer)
+    rows = np.arange(states.shape[0])
+    variables = np.asarray([sampler.bits[index].variable for index in bit_indices])
+    conditionals = []
+    for value in (1, 0):
+        weight = np.abs(derivatives[rows, variables, value] * sampler._constant) ** 2
+        weight[zero_rows] = 0.0
+        conditionals.append(weight)
+    return conditionals[0], conditionals[1], zero_rows
 
 
 @pytest.fixture
@@ -46,6 +85,14 @@ def compiled_noisy():
     return KnowledgeCompilationSimulator(seed=3).compile_circuit(circuit)
 
 
+@pytest.fixture
+def compiled_forced():
+    # The idle second qubit's final bit is forced to 0 by unit propagation.
+    q = LineQubit.range(2)
+    circuit = Circuit([Ry(0.7)(q[0]), Ry(0.0)(q[1])])
+    return KnowledgeCompilationSimulator(seed=5).compile_circuit(circuit)
+
+
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
     def test_evaluate_batch_matches_scalar(self, fixture, request):
@@ -57,6 +104,39 @@ class TestBatchedEvaluation:
         for row in range(literal_values.shape[0]):
             scalar = ac.evaluate(literal_values[row])
             assert batched[row] == pytest.approx(scalar, abs=1e-10)
+
+    @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
+    def test_lean_upward_matches_bookkeeping_pass(self, fixture, request):
+        """The lean upward pass against the zero-tracking one behind derivatives.
+
+        The batch mixes zero-free rows with rows whose AND nodes have zero,
+        one and two or more zero children; both passes must also match a
+        node-by-node reference evaluation.
+        """
+        ac = request.getfixturevalue(fixture).arithmetic_circuit
+        rng = np.random.default_rng(41)
+        literal_values = np.concatenate(
+            [
+                _random_literal_batch(ac, 4, rng, zero_fraction=0.0),
+                _random_literal_batch(ac, 12, rng),
+            ]
+        )
+        zero_children_seen = set()
+        reference_roots = []
+        for row in literal_values:
+            values = _reference_node_values(ac, row)
+            reference_roots.append(values[ac.root_index])
+            for node_type, children in zip(ac.node_types, ac.children):
+                if node_type == NODE_AND:
+                    zeros = sum(values[child] == 0 for child in children)
+                    zero_children_seen.add(min(int(zeros), 2))
+        assert zero_children_seen == {0, 1, 2}
+
+        lean = ac.evaluate_batch(literal_values)
+        tracked, _ = ac.evaluate_with_derivatives_batch(literal_values)
+        assert np.any(lean != 0) and np.any(lean == 0)
+        np.testing.assert_allclose(lean, tracked, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(lean, reference_roots, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
     def test_derivatives_batch_matches_scalar(self, fixture, request):
@@ -174,6 +254,58 @@ class TestBatchedAmplitudes:
         probabilities = compiled_noisy.probabilities()
         diagonal = np.real(np.diag(compiled_noisy.density_matrix())).clip(min=0.0)
         np.testing.assert_allclose(probabilities, diagonal, atol=1e-10)
+
+
+class TestFlipConditionals:
+    """A Gibbs move's conditional from one flipped upward pass, not a differential pass."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
+    )
+    def test_flip_weights_match_derivative_reads(self, fixture, request):
+        compiled = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(43)
+        sampler = GibbsSampler(compiled, rng=rng)
+        states = sampler._random_states(48)
+        # Every third row contradicts each CNF-forced bit (a zero row).
+        states[::3] ^= sampler._forced_clear
+        bit_indices = rng.integers(0, len(sampler.bits), size=48)
+        expected_one, expected_zero, zero_rows = _derivative_conditionals(
+            sampler, states, bit_indices
+        )
+        assert zero_rows.any() == (fixture == "compiled_forced")
+        # All-zero conditionals (zero rows, or exact zeros of the circuit)
+        # and conditionals with mass both occur.
+        assert np.any(expected_one + expected_zero == 0.0)
+        assert np.any(expected_one + expected_zero > 0.0)
+
+        cached = np.abs(sampler._amplitudes(states)) ** 2
+        before = states.copy()
+        for weights in (None, cached):
+            weight_one, weight_zero = sampler._conditional_weights(states, bit_indices, weights)
+            np.testing.assert_allclose(weight_one, expected_one, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(weight_zero, expected_zero, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(states, before)
+
+    @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
+    def test_cached_weights_resample_identically(self, fixture, request):
+        """``_resample`` with cached weights equals the one that recomputes them."""
+        compiled = request.getfixturevalue(fixture)
+        probe = GibbsSampler(compiled, rng=np.random.default_rng(47))
+        states = probe._random_states(64)
+        bit_indices = probe.rng.integers(0, len(probe.bits), size=64)
+        weights = np.abs(probe._amplitudes(states)) ** 2
+
+        cached_states, uncached_states = states.copy(), states.copy()
+        cached = GibbsSampler(compiled, rng=np.random.default_rng(53))
+        uncached = GibbsSampler(compiled, rng=np.random.default_rng(53))
+        returned = cached._resample(cached_states, bit_indices, weights)
+        recomputed = uncached._resample(uncached_states, bit_indices, None)
+
+        np.testing.assert_array_equal(cached_states, uncached_states)
+        np.testing.assert_array_equal(returned, recomputed)
+        np.testing.assert_array_equal(weights, returned)
+        assert np.any(cached_states != states)
 
 
 class TestMultiChainSampling:
