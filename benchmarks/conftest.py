@@ -30,6 +30,27 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 
+#: Test tiers, applied by directory (see tests/conftest.py): items under
+#: benchmarks/ are ``bench``, so ``pytest -m "not bench"`` skips them.
+TIER_MARKERS = (
+    "correctness: functional and statistical tests under tests/",
+    "bench: benchmark harness under benchmarks/",
+)
+
+
+def pytest_configure(config):
+    for line in TIER_MARKERS:
+        config.addinivalue_line("markers", line)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(config, items):
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if here in item.path.resolve().parents:
+            item.add_marker(pytest.mark.bench)
+
+
 @pytest.fixture(scope="session")
 def bench_output_dir(tmp_path_factory) -> Path:
     """Where ``BENCH_*.json`` artifacts go: ``$BENCH_OUTPUT_DIR`` or a temp dir."""

@@ -14,6 +14,7 @@ import pytest
 from repro.bayesnet import circuit_to_bayesnet
 from repro.cnf import encode_bayesnet
 from repro.knowledge import ArithmeticCircuit, KnowledgeCompiler, forget, smooth
+from repro.knowledge.arithmetic_circuit import NODE_AND, NODE_OR
 from repro.sampling import GibbsSampler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
@@ -116,6 +117,30 @@ def test_stage_gibbs_transition(benchmark, compiled, resolver):
     assert np.all(weights > 0.0)
     benchmark.extra_info["chains"] = states.shape[0]
     benchmark.extra_info["free_bits"] = len(sampler.bits)
+
+
+def test_stage_gibbs_sweep(benchmark, compiled, resolver):
+    """One systematic sweep over every free bit on 64 chains.
+
+    A sweep makes one full upward pass, then scores each step by recomputing
+    only the flipped bit's cone of the circuit.  ``extra_info`` records the
+    cone sizes as fractions of the internal nodes.
+    """
+    sampler = GibbsSampler(compiled, resolver=resolver, rng=np.random.default_rng(3))
+    states, _ = sampler.initial_states(64)
+    weights = benchmark(lambda: sampler.sweep_batch(states))
+    assert np.all(weights > 0.0)
+
+    ac = compiled.arithmetic_circuit
+    internal = np.isin(ac.node_types, (NODE_AND, NODE_OR))
+    fractions = [
+        internal[ac._cone(bit.variable)[3]].sum() / internal.sum() for bit in sampler.bits
+    ]
+    benchmark.extra_info["chains"] = states.shape[0]
+    benchmark.extra_info["free_bits"] = len(sampler.bits)
+    benchmark.extra_info["cone_fraction_mean"] = float(np.mean(fractions))
+    benchmark.extra_info["cone_fraction_min"] = float(np.min(fractions))
+    benchmark.extra_info["cone_fraction_max"] = float(np.max(fractions))
 
 
 def test_stage_elision_ablation(benchmark, ansatz):

@@ -31,6 +31,13 @@ sweeps).  The scalar :meth:`evaluate` / :meth:`evaluate_with_derivatives`
 API is kept as a ``B = 1`` wrapper.  Node-sized scratch arrays are cached in
 a per-batch-size workspace so repeated calls (the variational loop, Gibbs
 sweeps) do not churn allocations.
+
+When only one variable's literal leaves change, only their ancestors (the
+variable's *cone*) change value: :meth:`ArithmeticCircuit.evaluate_cone`
+recomputes just that cone in a caller-owned value matrix, with each cone
+node's full, in-order child list, so its roots are bit-identical to a full
+pass.  A Gibbs sweep, where every chain flips the same bit, scores its steps
+this way.
 """
 
 from __future__ import annotations
@@ -204,6 +211,8 @@ class ArithmeticCircuit:
 
         # Per-batch-size scratch arrays (small LRU), managed by _workspace_for.
         self._workspaces: "OrderedDict[int, Dict[str, np.ndarray]]" = OrderedDict()
+        # Per-CNF-variable cone plans, managed by _cone.
+        self._cones: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Structural metrics (used by Figure 6 / Table 4 / Table 6 experiments)
@@ -317,20 +326,71 @@ class ArithmeticCircuit:
             and_bookkeeping.append(None)
         return and_bookkeeping
 
-    def evaluate_batch(self, literal_values: np.ndarray) -> np.ndarray:
+    def evaluate_batch(
+        self, literal_values: np.ndarray, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Batched upward pass.
 
         ``literal_values`` has shape ``(B, num_vars + 1, 2)``; returns the
         ``(B,)`` array of weighted model counts.  Cost is one set of NumPy
-        calls per level regardless of ``B``.
+        calls per level regardless of ``B``.  A caller-owned ``(num_nodes, B)``
+        complex ``values`` matrix, if given, replaces the workspace and keeps
+        every node's value for :meth:`evaluate_cone`.
         """
         literal_values = self._as_batch(literal_values)
         batch = literal_values.shape[0]
         if batch == 0:
             return np.zeros(0, dtype=complex)
-        values = self._workspace_for(batch)["values"]
+        if values is None:
+            values = self._workspace_for(batch)["values"]
         self._upward_batch(literal_values, values)
         return values[self.root_index].copy()
+
+    def _cone(self, variable: int) -> Tuple:
+        """``variable``'s positive and negative leaves, per-level-group
+        ``(reduce, nodes, children, offsets)`` over its cone, and all cone nodes.
+        """
+        cone = self._cones.get(variable)
+        if cone is None:
+            mine = self._literal_vars == variable
+            leaves, signs = self._literal_positions[mine], self._literal_signs[mine]
+            in_cone = np.zeros(self.num_nodes, dtype=bool)
+            in_cone[leaves] = True
+            groups = []
+            for group in self._groups:
+                members = np.logical_or.reduceat(in_cone[group.child_indices], group.offsets)
+                if not members.any():
+                    continue
+                in_cone[group.node_positions[members]] = True
+                arities = group.arities[members]
+                groups.append((
+                    np.multiply if group.is_and else np.add,
+                    group.node_positions[members],
+                    group.child_indices[np.repeat(members, group.arities)],
+                    np.cumsum(arities) - arities,
+                ))
+            cone = (leaves[signs == 1], leaves[signs == 0], groups, np.flatnonzero(in_cone))
+            self._cones[variable] = cone
+        return cone
+
+    def evaluate_cone(
+        self, values: np.ndarray, variable: int, positive: np.ndarray, negative: np.ndarray
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """Set ``variable``'s literal leaves and recompute only their cone, in place.
+
+        ``values`` holds a full upward pass (``evaluate_batch(..., values=)``);
+        leaves ``+variable`` take the per-column ``positive`` values and
+        ``-variable`` the ``negative`` ones.  Returns the ``(B,)`` new roots,
+        bit-identical to a full pass, and ``(cone_nodes, old_values)`` for
+        putting back the old values of any column.
+        """
+        positive_leaves, negative_leaves, groups, nodes = self._cone(variable)
+        undo = (nodes, values[nodes])
+        values[positive_leaves] = positive
+        values[negative_leaves] = negative
+        for reduce, node_positions, child_indices, offsets in groups:
+            values[node_positions] = reduce.reduceat(values[child_indices], offsets, axis=0)
+        return values[self.root_index].copy(), undo
 
     def evaluate_with_derivatives_batch(
         self, literal_values: np.ndarray
@@ -419,19 +479,21 @@ class ArithmeticCircuit:
     # Pickling (persistent compiled-circuit cache)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict:
-        """Pickle everything but the per-batch-size scratch buffers.
+        """Pickle everything but the scratch buffers and cone plans.
 
-        Workspaces are pure caches (and can be hundreds of megabytes for
+        Both are pure caches (workspaces can be hundreds of megabytes for
         large batch sizes); a restored circuit re-grows them lazily on first
-        evaluation.
+        use, and pickles are the same with or without them.
         """
         state = dict(self.__dict__)
         state["_workspaces"] = None
+        del state["_cones"]
         return state
 
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         self._workspaces = OrderedDict()
+        self._cones = {}
 
     # ------------------------------------------------------------------
     # Serialisation (c2d-compatible .nnf text)

@@ -23,6 +23,10 @@ and every move is batched through the arithmetic circuit's batch axis:
 * the initial-state search redraws all still-zero-amplitude chains together;
 * one batched upward pass over the flipped states resamples one bit per
   chain — each chain picks its *own* random bit;
+* a systematic sweep flips the *same* bit on every chain per step, so it
+  keeps one full pass's ``(num_nodes, num_chains)`` values and scores each
+  step by recomputing only that bit's cone of the circuit; rows that keep
+  their bit get their old cone values back;
 * independence moves propose a full redraw for every chain at once (noise
   selectors drawn proportionally to their CAT magnitudes, with the exact
   Metropolis–Hastings correction) and reuse the cached current-state
@@ -32,9 +36,8 @@ and every move is batched through the arithmetic circuit's batch axis:
 
 ``sample(n)`` therefore costs ``O(burn_in + n / num_chains)`` batched passes
 instead of ``O(n)`` scalar ones, while each chain remains a textbook
-random-scan Gibbs chain with the same stationary distribution.  The scalar
-``step`` / ``sweep`` / ``independence_move`` API is kept as a one-chain
-wrapper over the batched machinery.
+random-scan Gibbs chain with the same stationary distribution.  There is no
+separate single-chain API: one chain is an ensemble with ``num_chains=1``.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ class GibbsSampler:
     """Markov-chain Monte Carlo sampler over a compiled circuit's outputs.
 
     Runs ``num_chains`` independent chains in lockstep (see the module
-    docstring); the scalar single-chain methods are thin wrappers around the
-    batched ones.
+    docstring).
     """
 
     def __init__(
@@ -122,12 +124,13 @@ class GibbsSampler:
         self._bit_shifts = np.asarray(
             [bit.width - 1 - bit.bit_index for bit in self.bits], dtype=np.int64
         )
-        self._bit_index_by_id = {id(bit): index for index, bit in enumerate(self.bits)}
         self._transition_count = 0
         # Warm chain ensemble carried across sample() calls (see sample()).
         self._ensemble: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         self._literal_batch: Optional[np.ndarray] = None
+        # A sweep's (num_nodes, C) upward values, valid for its states.
+        self._values: Optional[np.ndarray] = None
         self._needs_reburn = False
         self._bind_parameters(resolver)
 
@@ -231,10 +234,13 @@ class GibbsSampler:
     def _amplitudes(self, states: np.ndarray) -> np.ndarray:
         """Amplitude of each chain's full assignment (one batched pass)."""
         buffer, zero_rows = self._bind_states(states)
-        amplitudes = self.compiled.arithmetic_circuit.evaluate_batch(buffer)
-        amplitudes *= self._constant
-        amplitudes[zero_rows] = 0.0
-        return amplitudes
+        return self._scaled(self.compiled.arithmetic_circuit.evaluate_batch(buffer), zero_rows)
+
+    def _scaled(self, roots: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
+        """Amplitudes from circuit roots: times the constant, zero rows zeroed."""
+        roots *= self._constant
+        roots[zero_rows] = 0.0
+        return roots
 
     def _random_states(self, num_chains: int) -> np.ndarray:
         """Draw every chain's state from the independence-proposal distribution.
@@ -281,22 +287,25 @@ class GibbsSampler:
         states: np.ndarray,
         bit_indices: np.ndarray,
         weights: Optional[np.ndarray] = None,
+        flipped_weights: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Each chain's squared amplitude with its chosen bit set to 1 and to 0.
 
-        The flipped states take one batched upward pass; the current weights
-        come from ``weights``, or join that pass (``2C`` wide) without it.
+        The flipped states' weights come from ``flipped_weights`` or one
+        batched upward pass; the current weights come from ``weights``, or
+        join that pass (``2C`` wide) without it.
         """
         rows = np.arange(states.shape[0])
         columns = self._bit_columns[bit_indices]
         masks = np.int64(1) << self._bit_shifts[bit_indices]
-        flipped = states.copy()
-        flipped[rows, columns] ^= masks
-        if weights is None:
-            both = np.abs(self._amplitudes(np.concatenate((states, flipped)))) ** 2
-            weights, flipped_weights = np.split(both, 2)
-        else:
-            flipped_weights = np.abs(self._amplitudes(flipped)) ** 2
+        if flipped_weights is None:
+            flipped = states.copy()
+            flipped[rows, columns] ^= masks
+            if weights is None:
+                both = np.abs(self._amplitudes(np.concatenate((states, flipped)))) ** 2
+                weights, flipped_weights = np.split(both, 2)
+            else:
+                flipped_weights = np.abs(self._amplitudes(flipped)) ** 2
         is_one = (states[rows, columns] & masks) != 0
         weight_one = np.where(is_one, weights, flipped_weights)
         return weight_one, np.where(is_one, flipped_weights, weights)
@@ -306,14 +315,18 @@ class GibbsSampler:
         states: np.ndarray,
         bit_indices: np.ndarray,
         weights: Optional[np.ndarray] = None,
+        flipped_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Resample one (per-chain) bit on every chain from one upward pass.
+        """Resample one (per-chain) bit on every chain: the one accept rule.
 
-        ``bit_indices`` selects an entry of :attr:`bits` per chain.  Mutates
-        ``states`` (and ``weights``, if given) in place and returns each
-        chain's new squared-amplitude weight.
+        ``bit_indices`` selects an entry of :attr:`bits` per chain; a sweep
+        passes the flipped states' ``flipped_weights`` from its cone pass.
+        Mutates ``states`` (and ``weights``, if given) in place and returns
+        each chain's new squared-amplitude weight.
         """
-        weight_one, weight_zero = self._conditional_weights(states, bit_indices, weights)
+        weight_one, weight_zero = self._conditional_weights(
+            states, bit_indices, weights, flipped_weights
+        )
         total = weight_one + weight_zero
 
         probability_one = np.divide(
@@ -338,30 +351,31 @@ class GibbsSampler:
             weights[...] = new_weights
         return new_weights
 
-    def step_batch(
-        self, states: np.ndarray, bit: RetainedBit, weights: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Resample the same ``bit`` across every chain in one batched pass."""
-        index = self._bit_index_by_id.get(id(bit))
-        if index is None:
-            matches = [
-                i
-                for i, candidate in enumerate(self.bits)
-                if candidate.node_name == bit.node_name
-                and candidate.bit_index == bit.bit_index
-            ]
-            if not matches:
-                raise ValueError(f"{bit!r} is not a free retained bit of this sampler")
-            index = matches[0]
-        bit_indices = np.full(states.shape[0], index, dtype=np.int64)
-        return self._resample(states, bit_indices, weights)
+    def sweep_batch(self, states: np.ndarray) -> np.ndarray:
+        """One systematic-scan sweep over every retained bit, all chains at once.
 
-    def sweep_batch(self, states: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """One systematic-scan sweep over every retained bit, all chains at once."""
-        if weights is None:
-            weights = np.abs(self._amplitudes(states)) ** 2
-        for bit in self.bits:
-            self.step_batch(states, bit, weights)
+        One full upward pass fills the cached ``(num_nodes, C)`` value matrix
+        and the weights.  Each step flips one bit on every chain, scores the
+        flipped states by recomputing that bit's cone, accepts with
+        :meth:`_resample`, and puts back the old cone values of the chains
+        that kept their bit.  Mutates ``states``; returns the new weights.
+        """
+        circuit = self.compiled.arithmetic_circuit
+        values = self._values
+        if values is None or values.shape[1] != states.shape[0]:
+            values = self._values = np.empty((circuit.num_nodes, len(states)), dtype=complex)
+        buffer, zero_rows = self._bind_states(states)
+        roots = circuit.evaluate_batch(buffer, values=values)
+        weights = np.abs(self._scaled(roots, zero_rows)) ** 2
+        for index, bit in enumerate(self.bits):
+            column, shift = self._bit_columns[index], self._bit_shifts[index]
+            before = (states[:, column] >> shift) & 1
+            roots, (cone, saved) = circuit.evaluate_cone(values, bit.variable, 1 - before, before)
+            bit_indices = np.full(states.shape[0], index, dtype=np.int64)
+            flipped_weights = np.abs(self._scaled(roots, zero_rows)) ** 2
+            self._resample(states, bit_indices, weights, flipped_weights)
+            flipped = ((states[:, column] >> shift) & 1) != before
+            values[cone] = np.where(flipped, values[cone], saved)
         return weights
 
     def independence_move_batch(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -391,6 +405,17 @@ class GibbsSampler:
         weights[accept] = proposal_weights[accept]
         return weights
 
+    def _burn_in(self, states: np.ndarray, weights: np.ndarray, sweeps: int) -> np.ndarray:
+        """``sweeps`` rounds of a systematic sweep plus (when enabled) one
+        independence move: single-bit moves cannot cross zero-amplitude
+        regions and independence moves cannot polish within-branch detail.
+        """
+        for _ in range(sweeps):
+            weights = self.sweep_batch(states)
+            if self.restart_probability > 0.0:
+                weights = self.independence_move_batch(states, weights)
+        return weights
+
     def _transition_batch(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """One lockstep MCMC transition across the whole ensemble.
 
@@ -411,9 +436,6 @@ class GibbsSampler:
         bit_indices = self.rng.integers(0, len(self.bits), size=states.shape[0])
         return self._resample(states, bit_indices, weights)
 
-    # ------------------------------------------------------------------
-    # Scalar (single-chain) API — one-chain wrappers kept for compatibility
-    # ------------------------------------------------------------------
     def _encode_state(self, state: Dict[str, int]) -> np.ndarray:
         row = np.zeros((1, len(self.variables)), dtype=np.int64)
         for column, variable in enumerate(self.variables):
@@ -426,44 +448,6 @@ class GibbsSampler:
                 )
             row[0, column] = int(state[variable.node_name])
         return row
-
-    def _decode_state(self, row: np.ndarray) -> Dict[str, int]:
-        return {
-            variable.node_name: int(row[column])
-            for column, variable in enumerate(self.variables)
-        }
-
-    def _amplitude(self, state: Dict[str, int]) -> complex:
-        return complex(self._amplitudes(self._encode_state(state))[0])
-
-    def initial_state(self) -> Dict[str, int]:
-        """Find a starting assignment with non-zero probability."""
-        states, _ = self.initial_states(1)
-        return self._decode_state(states[0])
-
-    def step(self, state: Dict[str, int], bit: RetainedBit) -> Dict[str, int]:
-        """Resample one retained bit from its conditional distribution."""
-        states = self._encode_state(state)
-        self.step_batch(states, bit)
-        return self._decode_state(states[0])
-
-    def sweep(self, state: Dict[str, int]) -> Dict[str, int]:
-        """One systematic-scan sweep over every retained bit."""
-        states = self._encode_state(state)
-        self.sweep_batch(states)
-        return self._decode_state(states[0])
-
-    def independence_move(self, state: Dict[str, int]) -> Dict[str, int]:
-        """Metropolis–Hastings full-redraw move.
-
-        Proposals come from the weighted independence distribution (noise
-        selectors proportional to their CAT magnitudes, finals uniform); the
-        acceptance ratio includes the corresponding Hastings correction.
-        """
-        states = self._encode_state(state)
-        weights = np.abs(self._amplitudes(states)) ** 2
-        self.independence_move_batch(states, weights)
-        return self._decode_state(states[0])
 
     # ------------------------------------------------------------------
     def sample(
@@ -525,12 +509,11 @@ class GibbsSampler:
             if self._needs_reburn:
                 # Parameters were re-bound (rebind()): the chains are close
                 # to, but not at, the new stationary distribution — repeat
-                # the burn-in rounds before recording.
-                weights = np.abs(self._amplitudes(states)) ** 2
-                for _ in range(burn_in_sweeps):
-                    weights = self.sweep_batch(states, weights)
-                    if self.restart_probability > 0.0:
-                        weights = self.independence_move_batch(states, weights)
+                # the burn-in rounds before recording.  Each sweep re-weighs
+                # the chains with its own full pass.
+                if burn_in_sweeps == 0:
+                    weights = np.abs(self._amplitudes(states)) ** 2
+                weights = self._burn_in(states, weights, burn_in_sweeps)
                 self._needs_reburn = False
         else:
             if initial_state is not None:
@@ -558,14 +541,7 @@ class GibbsSampler:
                     weights = self.independence_move_batch(states, weights)
                     accepted += np.any(states != previous, axis=1)
 
-            # Each burn-in round is a systematic sweep plus (when enabled) one
-            # independence move: single-bit moves alone cannot cross
-            # zero-amplitude regions and independence rounds cannot polish
-            # within-branch detail, so the two phases complement each other.
-            for _ in range(burn_in_sweeps):
-                weights = self.sweep_batch(states, weights)
-                if self.restart_probability > 0.0:
-                    weights = self.independence_move_batch(states, weights)
+            weights = self._burn_in(states, weights, burn_in_sweeps)
             # The freshly built ensemble is equilibrated for the current
             # binding, so any pending rebind() re-burn is moot.
             self._needs_reburn = False

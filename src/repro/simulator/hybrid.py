@@ -38,7 +38,7 @@ from ..circuits.passes import OptimizeSpec, resolve_pipeline, split_clifford_pre
 from ..circuits.qubits import Qubit
 from ..linalg.tensor_ops import apply_unitary_to_state
 from ..stabilizer import StabilizerSimulator
-from ..stabilizer.simulator import DENSE_PROBABILITY_QUBITS
+from ..stabilizer.simulator import DENSE_STATE_QUBITS
 from .base import Simulator
 from .results import SampleResult, StateVectorResult
 
@@ -156,7 +156,7 @@ class HybridSimulator(Simulator):
         if self._pipeline is None or circuit.noise_operations():
             return None
         qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
-        if len(qubits) > DENSE_PROBABILITY_QUBITS:
+        if len(qubits) > DENSE_STATE_QUBITS:
             return None
         decision = self._device.decide(circuit, resolver, sampling=sampling)
         if decision.backend != self.fallback.name:

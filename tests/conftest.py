@@ -81,6 +81,31 @@ def pytest_sessionfinish(session, exitstatus):
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
+# ---------------------------------------------------------------------------
+# Test tiers, applied by directory: items under tests/ are ``correctness``,
+# items under benchmarks/ are ``bench`` (see benchmarks/conftest.py).
+# ``pytest -m "not bench"`` is the fast inner loop; a plain ``pytest`` run
+# still runs both tiers.
+# ---------------------------------------------------------------------------
+TIER_MARKERS = (
+    "correctness: functional and statistical tests under tests/",
+    "bench: benchmark harness under benchmarks/",
+)
+
+
+def pytest_configure(config):
+    for line in TIER_MARKERS:
+        config.addinivalue_line("markers", line)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(config, items):
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if here in item.path.resolve().parents:
+            item.add_marker(pytest.mark.correctness)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20210419)

@@ -6,10 +6,12 @@ including the forced-literal shortcut and all-zero-amplitude rows — and the
 multi-chain Gibbs ensemble must converge to the exact output distribution.
 The lean upward pass must agree with the differential pass's bookkeeping
 variant, and the Gibbs sampler's flip-and-upward conditionals with the
-derivative reads they replace.
+derivative reads they replace; a sweep step's cone re-evaluation must equal
+the full upward pass it replaces, bit for bit.
 """
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -306,6 +308,70 @@ class TestFlipConditionals:
         np.testing.assert_array_equal(returned, recomputed)
         np.testing.assert_array_equal(weights, returned)
         assert np.any(cached_states != states)
+
+
+class TestSweepCones:
+    """A sweep step recomputes only the flipped bit's cone of a cached pass."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
+    )
+    def test_cone_roots_equal_full_pass_over_flipped_states(self, fixture, request):
+        compiled = request.getfixturevalue(fixture)
+        ac = compiled.arithmetic_circuit
+        sampler = GibbsSampler(compiled, rng=np.random.default_rng(59))
+        states = sampler._random_states(24)
+        # Every third row contradicts each CNF-forced bit (a zero row).
+        states[::3] ^= sampler._forced_clear
+        buffer, zero_rows = sampler._bind_states(states)
+        assert zero_rows.any() == (fixture == "compiled_forced")
+        cached = np.empty((ac.num_nodes, states.shape[0]), dtype=complex)
+        ac.evaluate_batch(buffer, values=cached)
+        for index, bit in enumerate(sampler.bits):
+            column, shift = sampler._bit_columns[index], sampler._bit_shifts[index]
+            old_bits = (states[:, column] >> shift) & 1
+            flipped = states.copy()
+            flipped[:, column] ^= np.int64(1) << shift
+            expected = sampler._amplitudes(flipped)
+            fresh = np.empty_like(cached)
+            ac.evaluate_batch(sampler._bind_states(flipped)[0], values=fresh)
+
+            values = cached.copy()
+            roots, (cone, old_values) = ac.evaluate_cone(
+                values, bit.variable, 1 - old_bits, old_bits
+            )
+            np.testing.assert_array_equal(sampler._scaled(roots, zero_rows), expected)
+            np.testing.assert_array_equal(values, fresh)
+            np.testing.assert_array_equal(old_values, cached[cone])
+            assert np.all(np.diff(cone) > 0)
+
+    @pytest.mark.parametrize(
+        "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
+    )
+    def test_sweep_leaves_values_of_a_full_pass(self, fixture, request):
+        """Kept rows got their old cone values back, flipped rows kept the new ones."""
+        compiled = request.getfixturevalue(fixture)
+        sampler = GibbsSampler(compiled, rng=np.random.default_rng(61))
+        states, _ = sampler.initial_states(32)
+        before = states.copy()
+        weights = sampler.sweep_batch(states)
+        assert np.any(states != before) and np.any(np.all(states == before, axis=1))
+
+        ac = compiled.arithmetic_circuit
+        fresh = np.empty_like(sampler._values)
+        roots = ac.evaluate_batch(sampler._bind_states(states)[0], values=fresh)
+        np.testing.assert_array_equal(sampler._values, fresh)
+        np.testing.assert_array_equal(weights, np.abs(sampler._amplitudes(states)) ** 2)
+        np.testing.assert_array_equal(sampler._values[ac.root_index], roots)
+
+    def test_cone_plans_stay_out_of_pickles(self, compiled_noisy):
+        ac = compiled_noisy.arithmetic_circuit
+        before = pickle.dumps(ac)
+        for bit in GibbsSampler(compiled_noisy).bits:
+            ac._cone(bit.variable)
+        assert ac._cones
+        assert pickle.dumps(ac) == before
+        assert pickle.loads(before)._cones == {}
 
 
 class TestMultiChainSampling:

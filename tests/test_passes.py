@@ -316,6 +316,26 @@ class TestCliffordPrefix:
         assert len(prefix.all_operations()) == 1
         assert len(remainder.all_operations()) == 2
 
+    def test_hybrid_prefix_wider_than_dense_tableau_state(self):
+        """Regression: a 15-qubit Clifford prefix plus T gates raised ValueError.
+
+        The tableau expands its state densely only up to
+        ``DENSE_STATE_QUBITS`` = 14, so a wider circuit must fall through to
+        the routed backend instead of the prefix splitter.
+        """
+        from repro.algorithms import random_clifford_circuit
+        from repro.simulator.hybrid import HybridSimulator
+        from repro.statevector import StateVectorSimulator
+
+        instance = random_clifford_circuit(15, 40, seed=3)
+        circuit, qubits = instance.circuit.copy(), instance.qubits
+        circuit.append([T(qubit) for qubit in qubits[:4]])
+        hybrid = HybridSimulator(optimize="auto").simulate(circuit, qubit_order=qubits)
+        reference = StateVectorSimulator().simulate(circuit, qubit_order=qubits)
+        np.testing.assert_allclose(
+            hybrid.probabilities(), reference.probabilities(), rtol=0, atol=1e-10
+        )
+
 
 class TestRewriteRules:
     """Direct unit coverage of the shared rule layer."""

@@ -138,19 +138,23 @@ class TestGibbsSampler:
 
     def test_initial_state_has_positive_probability(self, compiled_biased_circuit):
         sampler = GibbsSampler(compiled_biased_circuit, rng=np.random.default_rng(2))
-        state = sampler.initial_state()
-        assert abs(sampler._amplitude(state)) > 0
+        states, weights = sampler.initial_states(1)
+        assert weights[0] > 0
+        assert abs(sampler._amplitudes(states)[0]) > 0
 
-    def test_step_preserves_keys(self, compiled_biased_circuit):
+    def test_step_preserves_state_shape(self, compiled_biased_circuit):
         sampler = GibbsSampler(compiled_biased_circuit, rng=np.random.default_rng(2))
-        state = sampler.initial_state()
-        new_state = sampler.step(state, sampler.bits[0])
-        assert set(new_state) == set(state)
+        states, weights = sampler.initial_states(1)
+        sampler._resample(states, np.zeros(1, dtype=np.int64), weights)
+        assert states.shape == (1, len(compiled_biased_circuit.retained_variables))
 
-    def test_sweep_visits_all_bits(self, compiled_biased_circuit):
+    def test_sweep_keeps_columns_in_range(self, compiled_biased_circuit):
         sampler = GibbsSampler(compiled_biased_circuit, rng=np.random.default_rng(2))
-        state = sampler.sweep(sampler.initial_state())
-        assert set(state) == {v.node_name for v in compiled_biased_circuit.retained_variables}
+        states, _ = sampler.initial_states(1)
+        sampler.sweep_batch(states)
+        cardinalities = [v.cardinality for v in compiled_biased_circuit.retained_variables]
+        assert states.shape == (1, len(cardinalities))
+        assert np.all((states >= 0) & (states < cardinalities))
 
     def test_sampler_matches_exact_distribution(self, compiled_biased_circuit):
         sampler = GibbsSampler(compiled_biased_circuit, rng=np.random.default_rng(5))
