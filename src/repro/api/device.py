@@ -3,12 +3,11 @@
 One submission surface for every workload the code base used to serve with
 bespoke harnesses:
 
-* **capability-driven routing** — ``device("auto")`` routes each work item
-  through :func:`repro.api.routing.select_backend` (the same classifier
-  ``HybridSimulator`` uses), extended with observable-aware rules (dense
-  reconstruction caps, phase-consistent state vectors, mixed-state needs);
-  fixed-name devices validate every item against the backend's declared
-  :class:`~repro.api.capabilities.BackendCapabilities` before any work runs;
+* **capability-driven routing** — every item, on ``device("auto")`` and on
+  fixed-name devices alike, is routed by one call to
+  :func:`repro.api.routing.select_backend` with the observables it records
+  and its run width, so capability and memory-budget violations surface
+  before any work runs;
 * **batched submission** — ``run()`` accepts one circuit, a list of
   circuits, or a sweep spec (one circuit times many parameter points).
   Work items are grouped by ``circuit_topology_key`` so one knowledge
@@ -48,15 +47,12 @@ from ..circuits.topology import canonicalize_circuit
 from ..errors import (
     BackendCapabilityError,
     InvalidRequestError,
-    MemoryBudgetError,
     ReproError,
     RequestTypeError,
 )
 from ..knowledge.cache import CompiledCircuitCache
 from ..linalg.tensor_ops import bits_to_index, index_to_bits
 from ..simulator.results import SampleResult
-from ..stabilizer.simulator import DENSE_PROBABILITY_QUBITS
-from .capabilities import capability_violation
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
 from .registry import REGISTRY, backend_capabilities, create_backend
@@ -192,6 +188,11 @@ def as_resolver(point: SweepPoint) -> Optional[ParamResolver]:
     if point is None or isinstance(point, ParamResolver):
         return point
     return ParamResolver(dict(point))
+
+
+def _width(qubit_order: Optional[Sequence[Qubit]]) -> Optional[int]:
+    """An item's run width: ``len(qubit_order)``, or ``None`` for the circuit's own."""
+    return None if qubit_order is None else len(qubit_order)
 
 
 def _resolver_key(resolver: Optional[ParamResolver]) -> Optional[Tuple]:
@@ -333,22 +334,22 @@ def _evaluate_generic_item(
     """One item on any uniform-interface backend (simulate/sample contract)."""
     observables = request.observables
     row = _base_row(index, resolver, name, reason)
-    if any(o in observables for o in ("probabilities", "expectation", "state_vector")):
-        result = sim.simulate(circuit, resolver, request.qubit_order, request.initial_state)
-        if "probabilities" in observables or "expectation" in observables:
-            probabilities = result.probabilities()
-            if "probabilities" in observables:
-                row["probabilities"] = probabilities
-            if "expectation" in observables:
-                row["expectation"] = float(request.objective(probabilities))
-        if "state_vector" in observables:
-            state = getattr(result, "state_vector", None)
-            if state is None:
-                raise BackendCapabilityError(
-                    f"backend {name!r} produces a mixed state; "
-                    "it cannot record the 'state_vector' observable"
-                )
-            row["state_vector"] = np.asarray(state)
+    run = (circuit, resolver, request.qubit_order, request.initial_state)
+    result = sim.simulate(*run) if "state_vector" in observables else None
+    if "probabilities" in observables or "expectation" in observables:
+        probabilities = sim.probabilities(*run) if result is None else result.probabilities()
+        if "probabilities" in observables:
+            row["probabilities"] = probabilities
+        if "expectation" in observables:
+            row["expectation"] = float(request.objective(probabilities))
+    if result is not None:
+        state = getattr(result, "state_vector", None)
+        if state is None:
+            raise BackendCapabilityError(
+                f"backend {name!r} produces a mixed state; "
+                "it cannot record the 'state_vector' observable"
+            )
+        row["state_vector"] = np.asarray(state)
     if "samples" in observables:
         _record_samples(
             row,
@@ -549,6 +550,12 @@ class Device:
             self._noisy_fallback = (
                 self._resolve(noisy_fallback) if noisy_fallback else self._fallback
             )
+        #: The :func:`~repro.api.routing.select_backend` routing configuration.
+        self._routing = {
+            "backend": self.backend,
+            "fallback": self._fallback,
+            "noisy_fallback": self._noisy_fallback,
+        }
         #: The decision taken by the most recent simulate/sample call.
         self.last_decision: Optional[BackendDecision] = None
 
@@ -631,11 +638,6 @@ class Device:
         )
         return master.rebound_for(circuit, canonical.bindings, order)
 
-    def _fallback_name(self, circuit: Circuit, sampling: bool) -> str:
-        if not sampling and circuit.has_noise:
-            return self._noisy_fallback
-        return self._fallback
-
     # ------------------------------------------------------------------
     # Single-item entry points (the legacy Simulator-shaped surface).
     # ------------------------------------------------------------------
@@ -647,14 +649,12 @@ class Device:
         repetitions: int = 0,
     ) -> BackendDecision:
         """The routing decision for one circuit (without running it)."""
-        if self.backend != "auto":
-            return BackendDecision(self.backend, "fixed backend")
         return select_backend(
             circuit,
             resolver,
-            fallback=self._fallback_name(circuit, sampling),
-            sampling=sampling,
+            observables=("samples",) if sampling else (),
             repetitions=repetitions,
+            **self._routing,
         )
 
     def simulate(
@@ -665,8 +665,9 @@ class Device:
         initial_state: int = 0,
     ):
         """Run one circuit on the routed backend, returning its native result."""
-        decision = self.decide(circuit, resolver, sampling=False)
-        self.last_decision = decision
+        decision = self.last_decision = select_backend(
+            circuit, resolver, observables=(), num_qubits=_width(qubit_order), **self._routing
+        )
         return self.backend_instance(decision.backend).simulate(
             circuit, resolver, qubit_order, initial_state
         )
@@ -681,8 +682,13 @@ class Device:
         initial_state: int = 0,
     ) -> SampleResult:
         """Draw samples from one circuit on the routed backend."""
-        decision = self.decide(circuit, resolver, sampling=True)
-        self.last_decision = decision
+        decision = self.last_decision = select_backend(
+            circuit,
+            resolver,
+            num_qubits=_width(qubit_order),
+            repetitions=repetitions,
+            **self._routing,
+        )
         return self.backend_instance(decision.backend).sample(
             circuit,
             repetitions,
@@ -695,92 +701,6 @@ class Device:
     # ------------------------------------------------------------------
     # Batched submission.
     # ------------------------------------------------------------------
-    def _route_item(
-        self,
-        circuit: Circuit,
-        resolver: Optional[ParamResolver],
-        observables: Sequence[str],
-        num_qubits: int,
-        repetitions: int = 0,
-    ) -> BackendDecision:
-        sampling_only = all(o == "samples" for o in observables)
-        wants_dense = "probabilities" in observables or "expectation" in observables
-        if self.backend != "auto":
-            decision = BackendDecision(self.backend, "fixed backend")
-        else:
-            decision = self.decide(
-                circuit, resolver, sampling=sampling_only, repetitions=repetitions
-            )
-            if decision.backend == "stabilizer" and not sampling_only:
-                if "state_vector" in observables:
-                    decision = BackendDecision(
-                        self._fallback_name(circuit, sampling=False),
-                        "state-vector observable needs phase-consistent amplitudes",
-                    )
-                elif wants_dense and num_qubits > DENSE_PROBABILITY_QUBITS:
-                    decision = BackendDecision(
-                        self._fallback_name(circuit, sampling=False),
-                        f"dense probabilities capped at {DENSE_PROBABILITY_QUBITS} qubits",
-                    )
-        if decision.backend in REGISTRY:
-            problem = capability_violation(
-                backend_capabilities(decision.backend), num_qubits, circuit.has_noise, observables
-            )
-            if problem is not None:
-                raise BackendCapabilityError(problem)
-        return decision
-
-    def _memory_guard(
-        self,
-        decision: BackendDecision,
-        circuit: Circuit,
-        observables: Sequence[str],
-        num_qubits: int,
-        budget: Optional[int],
-        repetitions: int = 0,
-    ) -> BackendDecision:
-        """Reject or reroute items whose dense footprint exceeds ``budget``.
-
-        The estimate is batch-aware: backends declaring ``batch_memory``
-        (the trajectory ensemble's ``(B, 2^n)`` state) are charged for
-        ``min(repetitions, max_batch_size)`` simultaneous rows, not one.
-
-        Auto-routing devices degrade gracefully: an over-budget dense route
-        falls back to a capable backend with a smaller footprint (the
-        ``4^n`` density matrix downgrades to ``2^n`` Monte Carlo
-        trajectories; Clifford work already routes to the poly(n) tableau).
-        Fixed devices, and items no cheaper backend can serve, raise a typed
-        :class:`~repro.errors.MemoryBudgetError` *before* any allocation.
-        """
-        if budget is None or decision.backend not in REGISTRY:
-            return decision
-        batch = max(1, repetitions)
-        caps = backend_capabilities(decision.backend)
-        estimate = caps.estimated_memory_bytes(num_qubits, batch_size=batch)
-        if estimate is None or estimate <= budget:
-            return decision
-        if self.backend == "auto" and "state_vector" not in observables:
-            for candidate in ("trajectory",):
-                if capability_violation(
-                    backend_capabilities(candidate),
-                    num_qubits,
-                    circuit.has_noise,
-                    observables,
-                    memory_budget=budget,
-                    batch_size=batch,
-                ) is not None:
-                    continue
-                return BackendDecision(
-                    candidate,
-                    f"memory budget: {decision.backend} needs ~{estimate:,} B "
-                    f"(> {budget:,} B); downgraded to {candidate}",
-                )
-        raise MemoryBudgetError(
-            f"work item needs ~{estimate:,} B on backend {decision.backend!r} "
-            f"({num_qubits} qubits), exceeding the {budget:,} B memory budget, "
-            "and no cheaper capable backend exists"
-        )
-
     def _normalize_items(
         self, circuits, params
     ) -> List[Tuple[Circuit, Optional[ParamResolver]]]:
@@ -1045,17 +965,15 @@ class Device:
         for index, (circuit, resolver) in enumerate(items):
             if index in skip:
                 continue
-            num_qubits = (
-                len(request.qubit_order) if request.qubit_order is not None else circuit.num_qubits
-            )
             try:
-                decision = self._route_item(
-                    circuit, resolver, request.observables, num_qubits,
+                decision = select_backend(
+                    circuit,
+                    resolver,
+                    observables=request.observables,
+                    num_qubits=_width(request.qubit_order),
                     repetitions=request.repetitions,
-                )
-                decision = self._memory_guard(
-                    decision, circuit, request.observables, num_qubits, request.memory_budget,
-                    repetitions=request.repetitions,
+                    memory_budget=request.memory_budget,
+                    **self._routing,
                 )
             except ReproError as error:
                 if request.on_error == "partial":

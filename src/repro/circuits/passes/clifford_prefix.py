@@ -1,4 +1,4 @@
-"""Clifford-prefix extraction for hybrid stabilizer + dense routing.
+"""Clifford-prefix extraction: a circuit's maximal Clifford head.
 
 Many ansatz circuits open with a Clifford block (the ``H`` layer of QAOA,
 state-preparation ladders, encoding circuits) before any non-Clifford
@@ -15,10 +15,7 @@ Whether a rotation is Clifford depends on its *bound angle*, so this pass
 is value-sensitive and deliberately not part of
 :func:`~repro.circuits.passes.base.default_pipeline` (it would split the
 shared topology key between a symbolic ansatz and a resolved instance that
-happens to land on Clifford angles).  It runs at routing time instead:
-:class:`~repro.simulator.hybrid.HybridSimulator` executes the prefix on the
-stabilizer tableau and hands only the dense tail to the state-vector
-backend.
+happens to land on Clifford angles).
 """
 
 from __future__ import annotations

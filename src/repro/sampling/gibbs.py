@@ -286,14 +286,13 @@ class GibbsSampler:
         self,
         states: np.ndarray,
         bit_indices: np.ndarray,
-        weights: Optional[np.ndarray] = None,
+        weights: np.ndarray,
         flipped_weights: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Each chain's squared amplitude with its chosen bit set to 1 and to 0.
 
-        The flipped states' weights come from ``flipped_weights`` or one
-        batched upward pass; the current weights come from ``weights``, or
-        join that pass (``2C`` wide) without it.
+        ``weights`` are the current states' weights; the flipped states'
+        weights come from ``flipped_weights`` or one batched upward pass.
         """
         rows = np.arange(states.shape[0])
         columns = self._bit_columns[bit_indices]
@@ -301,11 +300,7 @@ class GibbsSampler:
         if flipped_weights is None:
             flipped = states.copy()
             flipped[rows, columns] ^= masks
-            if weights is None:
-                both = np.abs(self._amplitudes(np.concatenate((states, flipped)))) ** 2
-                weights, flipped_weights = np.split(both, 2)
-            else:
-                flipped_weights = np.abs(self._amplitudes(flipped)) ** 2
+            flipped_weights = np.abs(self._amplitudes(flipped)) ** 2
         is_one = (states[rows, columns] & masks) != 0
         weight_one = np.where(is_one, weights, flipped_weights)
         return weight_one, np.where(is_one, flipped_weights, weights)
@@ -314,15 +309,15 @@ class GibbsSampler:
         self,
         states: np.ndarray,
         bit_indices: np.ndarray,
-        weights: Optional[np.ndarray] = None,
+        weights: np.ndarray,
         flipped_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Resample one (per-chain) bit on every chain: the one accept rule.
 
-        ``bit_indices`` selects an entry of :attr:`bits` per chain; a sweep
-        passes the flipped states' ``flipped_weights`` from its cone pass.
-        Mutates ``states`` (and ``weights``, if given) in place and returns
-        each chain's new squared-amplitude weight.
+        ``bit_indices`` selects an entry of :attr:`bits` per chain and
+        ``weights`` holds the chains' current weights; a sweep passes the
+        flipped states' ``flipped_weights`` from its cone pass.  Mutates
+        ``states`` and ``weights`` in place and returns ``weights``.
         """
         weight_one, weight_zero = self._conditional_weights(
             states, bit_indices, weights, flipped_weights
@@ -346,10 +341,8 @@ class GibbsSampler:
         states[rows, columns] = np.where(valid, candidates, current)
 
         effective_bits = np.where(valid, proposed_bits, current_bits)
-        new_weights = np.where(effective_bits == 1, weight_one, weight_zero)
-        if weights is not None:
-            weights[...] = new_weights
-        return new_weights
+        weights[...] = np.where(effective_bits == 1, weight_one, weight_zero)
+        return weights
 
     def sweep_batch(self, states: np.ndarray) -> np.ndarray:
         """One systematic-scan sweep over every retained bit, all chains at once.

@@ -79,6 +79,20 @@ class Simulator:
         """
         raise NotImplementedError
 
+    def probabilities(
+        self,
+        circuit: Circuit,
+        resolver: Optional[ParamResolver] = None,
+        qubit_order: Optional[Sequence[Qubit]] = None,
+        initial_state: int = 0,
+    ) -> np.ndarray:
+        """The circuit's ``(2^n,)`` output measurement distribution.
+
+        Reads it off :meth:`simulate`'s result; a backend whose ``simulate``
+        builds more than the distribution needs overrides this.
+        """
+        return self.simulate(circuit, resolver, qubit_order, initial_state).probabilities()
+
     def _rng(self, seed: Optional[int] = None) -> np.random.Generator:
         """Per-call generator for an explicit ``seed``; the shared default otherwise."""
         if seed is None:

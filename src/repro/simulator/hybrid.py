@@ -6,18 +6,17 @@ skeletons — is pure Clifford and therefore ``O(poly(n))`` on the stabilizer
 tableau, while everything else needs a dense (or knowledge-compiled)
 backend.
 
-This module is now a thin compatibility layer over the unified execution
-API (:mod:`repro.api`):
+This module is an adapter over the unified execution API
+(:mod:`repro.api`):
 
 * :func:`select_backend` and :class:`BackendDecision` are re-exported from
-  :mod:`repro.api.routing` — the single routing rule shared with
+  :mod:`repro.api.routing` — the one routing function, shared with
   ``repro.device("auto")``;
 * :class:`HybridSimulator` keeps the drop-in
   :class:`~repro.simulator.base.Simulator` surface (``simulate`` /
-  ``sample`` / ``decide`` / ``last_decision``) but delegates routing and
-  execution to an internal :class:`~repro.api.device.Device` built over its
-  own backend instances, so per-call behaviour (including default-generator
-  sequencing) is unchanged.
+  ``sample`` / ``decide`` / ``last_decision``): it optionally rewrites the
+  circuit, then hands it to an internal :class:`~repro.api.device.Device`
+  built over its own backend instances, which routes and runs it.
 
 Routing rules are documented in :mod:`repro.api.routing`; noisy
 ``simulate`` calls route to a separate ``noisy_fallback`` (a density-matrix
@@ -34,13 +33,11 @@ from ..circuits.circuit import Circuit
 if TYPE_CHECKING:  # imported lazily at runtime (device.py imports this package)
     from ..api.device import Device
 from ..circuits.parameters import ParamResolver
-from ..circuits.passes import OptimizeSpec, resolve_pipeline, split_clifford_prefix
+from ..circuits.passes import OptimizeSpec, resolve_pipeline
 from ..circuits.qubits import Qubit
-from ..linalg.tensor_ops import apply_unitary_to_state
 from ..stabilizer import StabilizerSimulator
-from ..stabilizer.simulator import DENSE_STATE_QUBITS
 from .base import Simulator
-from .results import SampleResult, StateVectorResult
+from .results import SampleResult
 
 __all__ = ["BackendDecision", "HybridSimulator", "select_backend"]
 
@@ -67,11 +64,7 @@ class HybridSimulator(Simulator):
         ``None``/``False`` (default) routes circuits as given;
         ``"auto"``/``True`` rewrites each circuit with
         :func:`repro.circuits.passes.default_pipeline` before routing (a
-        :class:`~repro.circuits.passes.PassPipeline` runs that pipeline) and
-        additionally enables **Clifford-prefix splitting** on the dense
-        route: an ideal circuit whose head is Clifford runs that head on the
-        stabilizer tableau and only the dense tail pays exponential cost
-        (``last_decision.reason`` reports the split).
+        :class:`~repro.circuits.passes.PassPipeline` runs that pipeline).
     """
 
     name = "hybrid"
@@ -138,52 +131,6 @@ class HybridSimulator(Simulator):
             return circuit
         return self._pipeline.run(circuit).circuit
 
-    def _prefix_state(
-        self,
-        circuit: Circuit,
-        resolver: Optional[ParamResolver],
-        qubit_order: Optional[Sequence[Qubit]],
-        initial_state: int,
-        sampling: bool,
-    ):
-        """Tableau-prefix + dense-tail execution, or ``None`` when inapplicable.
-
-        Fires only with ``optimize`` enabled, on ideal circuits the router
-        sends to the dense fallback, when the circuit opens with a
-        non-trivial Clifford block and is small enough to expand the tableau
-        state densely.  Returns the final :class:`StateVectorResult`.
-        """
-        if self._pipeline is None or circuit.noise_operations():
-            return None
-        qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
-        if len(qubits) > DENSE_STATE_QUBITS:
-            return None
-        decision = self._device.decide(circuit, resolver, sampling=sampling)
-        if decision.backend != self.fallback.name:
-            return None
-        prefix, remainder = split_clifford_prefix(circuit, resolver)
-        prefix_count = prefix.gate_count()
-        tail_unitaries = remainder.unitary_operations()
-        if prefix_count < 1 or not tail_unitaries:
-            return None
-        state = self.stabilizer.simulate(
-            prefix, resolver, qubit_order=qubits, initial_state=initial_state
-        ).state_vector
-        position = {qubit: index for index, qubit in enumerate(qubits)}
-        for operation in tail_unitaries:
-            state = apply_unitary_to_state(
-                state,
-                operation.gate.unitary(resolver),
-                [position[qubit] for qubit in operation.qubits],
-                len(qubits),
-            )
-        self.last_decision = BackendDecision(
-            self.fallback.name,
-            f"clifford prefix ({prefix_count} ops) on tableau, "
-            f"dense tail ({len(tail_unitaries)} ops)",
-        )
-        return StateVectorResult(qubits, state)
-
     def simulate(
         self,
         circuit: Circuit,
@@ -197,11 +144,9 @@ class HybridSimulator(Simulator):
         route and the fallback backend's native result otherwise; both expose
         ``qubits``, ``probabilities()`` and ``sample()``.
         """
-        circuit = self._optimized(circuit)
-        split = self._prefix_state(circuit, resolver, qubit_order, initial_state, sampling=False)
-        if split is not None:
-            return split
-        result = self._device.simulate(circuit, resolver, qubit_order, initial_state)
+        result = self._device.simulate(
+            self._optimized(circuit), resolver, qubit_order, initial_state
+        )
         self.last_decision = self._device.last_decision
         return result
 
@@ -215,12 +160,8 @@ class HybridSimulator(Simulator):
         initial_state: int = 0,
     ) -> SampleResult:
         """Draw samples from the routed backend (tableau when possible)."""
-        circuit = self._optimized(circuit)
-        split = self._prefix_state(circuit, resolver, qubit_order, initial_state, sampling=True)
-        if split is not None:
-            return split.sample(repetitions, rng=self._rng(seed))
         result = self._device.sample(
-            circuit,
+            self._optimized(circuit),
             repetitions,
             resolver=resolver,
             qubit_order=qubit_order,

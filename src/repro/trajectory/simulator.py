@@ -331,6 +331,21 @@ class TrajectorySimulator(Simulator):
             total += states.shape[0]
         return probabilities / total
 
+    def probabilities(
+        self,
+        circuit: Circuit,
+        resolver: Optional[ParamResolver] = None,
+        qubit_order: Optional[Sequence[Qubit]] = None,
+        initial_state: int = 0,
+    ) -> np.ndarray:
+        """:meth:`estimate_probabilities` over the ensemble :meth:`simulate` averages.
+
+        It draws the same trajectories as ``simulate()`` and sums the
+        diagonal of its matrix, in ``O(max_batch_size * 2^n)`` memory
+        instead of ``O(4^n)``.
+        """
+        return self.estimate_probabilities(circuit, resolver, qubit_order, initial_state)
+
     def sample(
         self,
         circuit: Circuit,

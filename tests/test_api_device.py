@@ -11,6 +11,8 @@ Clifford/universal/noisy batch of >= 100 circuits
   samples, in fact, thanks to the ``seed + index`` fan-out).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,10 @@ from repro.api.capabilities import capability_violation
 from repro.api.device import Device
 from repro.circuits.clifford import classify_circuit
 from repro.densitymatrix import DensityMatrixSimulator
-from repro.errors import BackendCapabilityError
+from repro.errors import BackendCapabilityError, MemoryBudgetError
 from repro.knowledge.compiler import KnowledgeCompiler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+from repro.trajectory import TrajectorySimulator
 
 
 def _mixed_batch(num_items=102):
@@ -75,7 +78,7 @@ class TestAutoRoutingParity:
         batch = _mixed_batch()
         result = device("auto", seed=0).run(batch, repetitions=8, seed=0).result()
         assert len(result) == len(batch)
-        expected = [select_backend(circuit, sampling=True).backend for circuit in batch]
+        expected = [select_backend(circuit).backend for circuit in batch]
         assert result.backends() == expected
         assert set(expected) == {"stabilizer", "state_vector"}
 
@@ -84,7 +87,7 @@ class TestAutoRoutingParity:
         seed = 23
         result = device("auto", seed=0).run(batch, repetitions=25, seed=seed).result()
         for index, (circuit, row) in enumerate(zip(batch, result)):
-            decision = select_backend(circuit, sampling=True)
+            decision = select_backend(circuit)
             legacy_cls = {
                 "stabilizer": StabilizerSimulator,
                 "state_vector": StateVectorSimulator,
@@ -349,11 +352,11 @@ class TestCapableFallback:
 
     def test_simulate_route_substitutes_unravelling_backend(self):
         # 20 noisy qubits overflow the 13-qubit density matrix; the
-        # simulate route substitutes the state vector, which serves noisy
-        # simulate by stochastic unravelling (Device enforces mixed-state
-        # output only for probability/expectation observables).
+        # simulate route (no observables) substitutes the state vector,
+        # which serves noisy simulate by stochastic unravelling (mixed-state
+        # output is required only for probability/expectation observables).
         noisy = _nonclifford(20).with_noise(lambda: depolarize(0.01))
-        decision = select_backend(noisy, fallback="density_matrix", sampling=False)
+        decision = select_backend(noisy, observables=(), fallback="density_matrix")
         assert decision.backend == "state_vector"
 
     def test_impossible_item_raises_typed_error(self):
@@ -366,6 +369,30 @@ class TestCapableFallback:
         # the caller vouches for them.
         decision = select_backend(_nonclifford(4), fallback="state_vector#custom")
         assert decision.backend == "state_vector#custom"
+
+    @pytest.mark.parametrize("circuit_qubits", [14, 2], ids=["14-qubit", "2-over-14-order"])
+    def test_substitution_uses_the_run_observables_and_width(self, circuit_qubits):
+        # The 13-qubit density matrix cannot serve a 14-wide item; the state
+        # vector cannot serve noisy probabilities.  Substitution must judge
+        # both by what the item records at the width it runs with.
+        noisy = _nonclifford(circuit_qubits).with_noise(lambda: depolarize(0.02))
+        order = sorted(noisy.all_qubits()) + [
+            LineQubit(i) for i in range(circuit_qubits, 14)
+        ]
+        row = (
+            device("auto", seed=0)
+            .run(noisy, observables=["probabilities"], qubit_order=order)
+            .result()
+            .rows[0]
+        )
+        assert row["backend"] == "trajectory"
+        assert "fallback 'density_matrix' cannot serve this item (14 qubits" in row["reason"]
+        probabilities = row["probabilities"]
+        assert probabilities.shape == (2**14,)
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-10)
+        # Spectator qubits (the tail of the order) never leave |0>.
+        spectators = 2 ** (14 - circuit_qubits)
+        assert np.all(probabilities.reshape(-1, spectators)[:, 1:] == 0.0)
 
 
 class TestBatchAwareMemory:
@@ -412,11 +439,40 @@ class TestBatchAwareMemory:
             noisy, fallback="trajectory", repetitions=8, memory_budget=budget
         )
         downgraded = select_backend(
-            noisy, fallback="trajectory", repetitions=512, memory_budget=budget
+            noisy, fallback="density_matrix", repetitions=8, memory_budget=budget
         )
         assert kept.backend == "trajectory"
-        assert downgraded.backend == "state_vector"
-        assert "cannot serve this item" in downgraded.reason
+        assert downgraded.backend == "trajectory"
+        assert "downgraded to trajectory" in downgraded.reason
+        # 512 simultaneous trajectory rows exceed the budget: the trajectory
+        # route is rejected in both roles, as the route and as the downgrade.
+        for fallback in ("trajectory", "density_matrix"):
+            with pytest.raises(MemoryBudgetError, match="memory budget"):
+                select_backend(
+                    noisy, fallback=fallback, repetitions=512, memory_budget=budget
+                )
+
+
+class TestTrajectoryObservables:
+    def test_probabilities_skip_the_dense_density_matrix(self):
+        # A 4^10 complex128 density matrix is 16 MiB; the trajectory
+        # ensemble's diagonal needs only (trajectories, 2^10) states.
+        noisy = _nonclifford(10).with_noise(lambda: depolarize(0.02))
+        tracemalloc.start()
+        try:
+            row = (
+                device("trajectory", seed=3)
+                .run(noisy, observables=["probabilities"])
+                .result()
+                .rows[0]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**10
+        # Same draws and values as the diagonal of the averaged matrix.
+        reference = TrajectorySimulator(seed=3).simulate(noisy).probabilities()
+        np.testing.assert_array_equal(row["probabilities"], reference)
 
 
 class TestTimings:

@@ -124,8 +124,8 @@ class TestHybridDispatch:
         assert "T" in decision.reason
 
     def test_pauli_noise_routes_sampling_only(self, noisy_bell_circuit):
-        assert select_backend(noisy_bell_circuit, sampling=True).backend == "stabilizer"
-        assert select_backend(noisy_bell_circuit, sampling=False).backend == "state_vector"
+        assert select_backend(noisy_bell_circuit).backend == "stabilizer"
+        assert select_backend(noisy_bell_circuit, observables=()).backend == "state_vector"
 
     def test_non_pauli_noise_falls_back(self):
         q = LineQubit(0)

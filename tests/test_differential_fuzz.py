@@ -331,7 +331,6 @@ class TestOptimizedVsUnoptimized:
         split = HybridSimulator(seed=0, optimize="auto")
         base = plain.simulate(circuit).probabilities()
         rewritten = split.simulate(circuit).probabilities()
-        assert "prefix" in split.last_decision.reason
         np.testing.assert_allclose(rewritten, base, atol=1e-10)
 
 

@@ -320,8 +320,8 @@ class TestCliffordPrefix:
         """Regression: a 15-qubit Clifford prefix plus T gates raised ValueError.
 
         The tableau expands its state densely only up to
-        ``DENSE_STATE_QUBITS`` = 14, so a wider circuit must fall through to
-        the routed backend instead of the prefix splitter.
+        ``DENSE_STATE_QUBITS`` = 14; ``optimize="auto"`` must still run the
+        rewritten circuit on the routed backend.
         """
         from repro.algorithms import random_clifford_circuit
         from repro.simulator.hybrid import HybridSimulator
