@@ -2,7 +2,8 @@
 
 Not a paper table per se, but the per-stage costs DESIGN.md calls out:
 circuit -> Bayesian network, network -> CNF, CNF -> d-DNNF, elision/smoothing,
-weight re-binding, single amplitude queries, gradient passes and Gibbs moves.
+weight re-binding, single amplitude queries, gradient passes and Gibbs moves,
+plus the execution layer's circuit-rewrite (``optimize="auto"``) step.
 These quantify where time goes and how cheap the "repeat with new parameters"
 path is compared with a full recompilation — the design choice at the heart
 of the paper.
@@ -11,13 +12,15 @@ of the paper.
 import numpy as np
 import pytest
 
+from repro.algorithms import random_clifford_circuit
 from repro.bayesnet import circuit_to_bayesnet
+from repro.circuits.passes import default_pipeline
 from repro.cnf import encode_bayesnet
 from repro.knowledge import ArithmeticCircuit, KnowledgeCompiler, forget, smooth
 from repro.knowledge.arithmetic_circuit import NODE_AND, NODE_OR
 from repro.sampling import GibbsSampler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
-from repro.variational import QAOACircuit, random_regular_maxcut
+from repro.variational import QAOACircuit, VQECircuit, random_regular_maxcut, square_grid_ising
 
 NUM_QUBITS = 10
 
@@ -148,3 +151,32 @@ def test_stage_elision_ablation(benchmark, ansatz):
     simulator = KnowledgeCompilationSimulator(seed=1, elide_internal=False, cache=None)
     compiled = benchmark(lambda: simulator.compile_circuit(ansatz.circuit))
     benchmark.extra_info["ac_nodes_without_elision"] = compiled.arithmetic_circuit.num_nodes
+
+
+def _api_batch_cliffords(run_seed=1):
+    """The api-batch workload's eight 12-qubit, depth-12 random Clifford circuits.
+
+    The workload draws their seeds from its parameter walk, right after the
+    n=6 QAOA and VQE start points.
+    """
+    walk = np.random.default_rng([run_seed, 3])
+    for ansatz in (
+        QAOACircuit(random_regular_maxcut(6, seed=7), 1),
+        VQECircuit(square_grid_ising(6, seed=7), 1),
+    ):
+        walk.uniform(0.2, 0.9, size=ansatz.num_parameters)
+    return [random_clifford_circuit(12, 12, seed=int(s)).circuit for s in walk.integers(0, 2**31, size=8)]
+
+
+def test_stage_optimize_pipeline(benchmark):
+    """The default rewrite pipeline over the api-batch Clifford corpus.
+
+    The pipeline is rebuilt per round, as ``optimize="auto"`` does per
+    submission; its rule memos stay warm, as they do across submissions.
+    """
+    circuits = _api_batch_cliffords()
+    results = benchmark(lambda: [default_pipeline().run(circuit) for circuit in circuits])
+    benchmark.extra_info["circuits"] = len(circuits)
+    benchmark.extra_info["operations_before"] = sum(r.stats.operations_before for r in results)
+    benchmark.extra_info["operations_after"] = sum(r.stats.operations_after for r in results)
+    benchmark.extra_info["rewrites"] = sum(s.rewrites for r in results for s in r.stats.passes)

@@ -263,7 +263,34 @@ def _match_two_qubit(matrix: np.ndarray) -> Optional[Tuple[CliffordOp, ...]]:
 #: cleared wholesale past ``_CLASSIFY_CACHE_MAX`` entries.
 _CLASSIFY_CACHE: Dict[Tuple[int, bytes], Optional[Tuple[CliffordOp, ...]]] = {}
 _CLASSIFY_CACHE_MAX = 4096
+#: Front memo keyed by the resolved unitary's *exact* bytes: a repeated
+#: matrix skips building the rounded key.  It only stores what the rounded
+#: path returned, and has the same bound.
+_EXACT_CLASSIFY_CACHE: Dict[Tuple[int, bytes], Optional[Tuple[CliffordOp, ...]]] = {}
 _CACHE_MISS = object()
+
+
+def _remember(cache: Dict, key, value) -> None:
+    if len(cache) >= _CLASSIFY_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+
+
+def _classify_matrix(num_qubits: int, matrix: np.ndarray) -> Optional[Tuple[CliffordOp, ...]]:
+    key = (num_qubits, _phase_normalized_key(matrix, decimals=9))
+    cached = _CLASSIFY_CACHE.get(key, _CACHE_MISS)
+    if cached is not _CACHE_MISS:
+        return cached  # type: ignore[return-value]
+    result: Optional[Tuple[CliffordOp, ...]] = None
+    if num_qubits == 1:
+        for template, ops in _SINGLE_QUBIT_LIBRARY:
+            if equal_up_to_global_phase(matrix, template):
+                result = ops
+                break
+    else:
+        result = _match_two_qubit(matrix)
+    _remember(_CLASSIFY_CACHE, key, result)
+    return result
 
 
 def gate_clifford_ops(
@@ -285,21 +312,12 @@ def gate_clifford_ops(
         matrix = gate.unitary(resolver)
     except (TypeError, ValueError):
         return None
-    key = (gate.num_qubits, _phase_normalized_key(matrix, decimals=9))
-    cached = _CLASSIFY_CACHE.get(key, _CACHE_MISS)
+    exact = (gate.num_qubits, np.asarray(matrix, dtype=complex).tobytes())
+    cached = _EXACT_CLASSIFY_CACHE.get(exact, _CACHE_MISS)
     if cached is not _CACHE_MISS:
         return cached  # type: ignore[return-value]
-    result: Optional[Tuple[CliffordOp, ...]] = None
-    if gate.num_qubits == 1:
-        for template, ops in _SINGLE_QUBIT_LIBRARY:
-            if equal_up_to_global_phase(matrix, template):
-                result = ops
-                break
-    else:
-        result = _match_two_qubit(matrix)
-    if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_MAX:
-        _CLASSIFY_CACHE.clear()
-    _CLASSIFY_CACHE[key] = result
+    result = _classify_matrix(gate.num_qubits, matrix)
+    _remember(_EXACT_CLASSIFY_CACHE, exact, result)
     return result
 
 

@@ -2,10 +2,11 @@
 
 Fusion only sees pairs that are adjacent on every shared wire; this pass
 additionally looks *through* operations that provably commute with the
-incoming gate.  Scanning the surviving output backwards from the end, every
-operation the incoming gate commutes with (per the structural, value-blind
-rules in :func:`~repro.circuits.passes.rules.commutes`) is skipped; the
-first operation that offers a merge (:func:`try_merge`) is taken; the first
+incoming gate.  Scanning the surviving operations that share a qubit with
+the incoming gate, latest first, every operation it commutes with (per the
+structural, value-blind rules in
+:func:`~repro.circuits.passes.rules.commutes`) is skipped; the first
+operation that offers a merge (:func:`try_merge`) is taken; the first
 operation that neither commutes nor merges blocks the search.
 
 Merging at a distance is sound because the merged operation has the same
@@ -20,26 +21,33 @@ Noise channels and measurements never commute past anything sharing a wire.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import Iterator, List, Optional, Tuple
 
 from ..circuit import Circuit
 from ..gates import Operation
 from ..noise import NoiseOperation
-from ..qubits import Qubit
 from .base import Pass
-from .fusion import run_peephole
+from .fusion import Wires, run_peephole
 from .rules import commutes, try_merge
 
 
+def _shared_wire_indices(wires: Wires, current: Operation) -> Iterator[int]:
+    """Indices of surviving operations sharing a qubit with ``current``, latest first."""
+    lists = [reversed(wires.get(qubit, ())) for qubit in current.qubits]
+    previous = None
+    for index in heapq.merge(*lists, reverse=True):
+        if index != previous:
+            previous = index
+            yield index
+
+
 def _commuting_partner(
-    out: List[Optional[Operation]], last: Dict[Qubit, int], current: Operation
+    out: List[Optional[Operation]], wires: Wires, current: Operation
 ) -> Optional[int]:
-    for index in range(len(out) - 1, -1, -1):
+    for index in _shared_wire_indices(wires, current):
         earlier = out[index]
-        if earlier is None:
-            continue
-        if not set(earlier.qubits).intersection(current.qubits):
-            continue
+        assert earlier is not None
         if earlier.is_measurement or isinstance(earlier, NoiseOperation):
             return None
         if try_merge(earlier, current) is not None:

@@ -1,16 +1,16 @@
 """Adjacent-gate fusion: rotation merging and inverse-pair cancellation.
 
 The pass walks the operation list once, keeping an output list with holes.
-For every qubit it tracks the index of the last surviving operation touching
-it; a new operation whose qubits *all* point at the same surviving operation
-is adjacent to it on every shared wire and may merge with it
-(:func:`~repro.circuits.passes.rules.try_merge`): same-family rotations add
-their angles exactly (``Rz(a) . Rz(b) -> Rz(a + b)``, symbolic or concrete),
-constant inverse pairs (``H . H``, ``T . TDG``, ``CNOT . CNOT``) cancel.
-Merges cascade — a merged rotation may in turn merge with the operation that
-became adjacent once its neighbour disappeared — and gates whose unitary is
-the identity up to global phase (under the canonicalizer's degenerate-angle
-carve-out) are dropped outright.
+For every qubit it keeps the ascending indices of the surviving operations
+touching it; a new operation whose qubits' *latest* entries all name the
+same surviving operation is adjacent to it on every shared wire and may
+merge with it (:func:`~repro.circuits.passes.rules.try_merge`): same-family
+rotations add their angles exactly (``Rz(a) . Rz(b) -> Rz(a + b)``,
+symbolic or concrete), constant inverse pairs (``H . H``, ``T . TDG``,
+``CNOT . CNOT``) cancel.  Merges cascade — a merged rotation may in turn
+merge with the operation that became adjacent once its neighbour
+disappeared — and gates whose unitary is the identity up to global phase
+(under the canonicalizer's degenerate-angle carve-out) are dropped outright.
 
 Noise channels and measurements are barriers: a channel need not commute
 with a unitary, so nothing fuses across them.
@@ -18,6 +18,7 @@ with a unitary, so nothing fuses across them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuit import Circuit
@@ -27,44 +28,43 @@ from ..qubits import Qubit
 from .base import Pass
 from .rules import CANCEL, removable_identity, try_merge
 
-#: A partner-search strategy: given the output list and per-qubit last-index
-#: map, return the index of a merge candidate for ``current`` (or ``None``).
-PartnerFinder = Callable[[List[Optional[Operation]], Dict[Qubit, int], Operation], Optional[int]]
+#: Per qubit, the ascending output indices of the surviving operations on it.
+Wires = Dict[Qubit, List[int]]
+
+#: A partner-search strategy: given the output list and the per-qubit index
+#: lists, return the index of a merge candidate for ``current`` (or ``None``).
+PartnerFinder = Callable[[List[Optional[Operation]], Wires, Operation], Optional[int]]
 
 
 def run_peephole(circuit: Circuit, find_partner: PartnerFinder) -> Tuple[Circuit, int]:
     """Generic merge/cancel peephole shared by fusion and commutation.
 
-    Walks operations in order; for each unitary-gate operation, repeatedly
-    asks ``find_partner`` for an earlier surviving operation to merge with,
-    applies :func:`try_merge`, and cascades until no partner merges.  Pure:
-    the input circuit is never mutated, and the input object itself is
-    returned when zero rewrite actions fired.
+    Walks operations in order, keeping the surviving output (``None`` marks
+    a hole) and, per qubit, the ascending indices of the surviving
+    operations on it.  For each unitary-gate operation it repeatedly asks
+    ``find_partner(out, wires, current)`` for an earlier surviving operation
+    to merge with, applies :func:`try_merge`, and cascades until no partner
+    merges.  Pure: the input circuit is never mutated, and the input object
+    itself is returned when zero rewrite actions fired.
     """
     operations = circuit.all_operations()
     out: List[Optional[Operation]] = []
-    last: Dict[Qubit, int] = {}
+    wires: Wires = {}
     actions = 0
 
     def place(operation: Operation) -> None:
         out.append(operation)
         index = len(out) - 1
         for qubit in operation.qubits:
-            last[qubit] = index
+            wires.setdefault(qubit, []).append(index)
 
     def unplace(index: int) -> None:
         removed = out[index]
         assert removed is not None
         out[index] = None
         for qubit in removed.qubits:
-            if last.get(qubit) != index:
-                continue
-            del last[qubit]
-            for j in range(index - 1, -1, -1):
-                earlier = out[j]
-                if earlier is not None and qubit in earlier.qubits:
-                    last[qubit] = j
-                    break
+            indices = wires[qubit]
+            del indices[bisect_left(indices, index)]
 
     for operation in operations:
         if operation.is_measurement or isinstance(operation, NoiseOperation):
@@ -72,7 +72,7 @@ def run_peephole(circuit: Circuit, find_partner: PartnerFinder) -> Tuple[Circuit
             continue
         current: Optional[Operation] = operation
         while current is not None:
-            partner_index = find_partner(out, last, current)
+            partner_index = find_partner(out, wires, current)
             if partner_index is None:
                 break
             partner = out[partner_index]
@@ -98,9 +98,9 @@ def run_peephole(circuit: Circuit, find_partner: PartnerFinder) -> Tuple[Circuit
 
 
 def _adjacent_partner(
-    out: List[Optional[Operation]], last: Dict[Qubit, int], current: Operation
+    out: List[Optional[Operation]], wires: Wires, current: Operation
 ) -> Optional[int]:
-    indices = {last.get(qubit) for qubit in current.qubits}
+    indices = {wires[qubit][-1] if wires.get(qubit) else None for qubit in current.qubits}
     if len(indices) != 1:
         return None
     (index,) = indices

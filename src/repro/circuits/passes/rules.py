@@ -20,7 +20,7 @@ rotation families:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -40,18 +40,69 @@ CANCEL = object()
 _SYMMETRIC_FAMILY_NAMES = ("ZZ", "CP")
 
 # ---------------------------------------------------------------------------
-# Structural diagonality.
+# Value-keyed facts about constant gates.
 # ---------------------------------------------------------------------------
-#: Per rotation *class* (an immutable property, safe to key by class).
-_DIAGONAL_CLASS_CACHE: Dict[type, bool] = {}
-#: Per constant-gate matrix value (mutation-safe: keyed by entries, not id).
-_DIAGONAL_MATRIX_CACHE: Dict[Tuple[int, bytes], bool] = {}
-_DIAGONAL_MATRIX_CACHE_MAX = 1024
+#: Numeric facts about constant gates (identity, diagonality, equality with
+#: CNOT or X) and constant-gate pairs (cancellation, commutation), keyed by
+#: the predicate plus each unitary's dimension and exact bytes (never by
+#: object identity, so a mutated gate object can never hit a stale entry).
+#: Only one- and two-qubit unitaries are memoized, which keeps every key
+#: small; the memo is cleared wholesale past ``_FACTS_MAX`` entries.
+_FACTS: Dict[tuple, bool] = {}
+_FACTS_MAX = 4096
+_FACTS_MAX_DIM = 4
+
+_CNOT_MATRIX = CNOT.unitary(None)
+_X_MATRIX = X.unitary(None)
 
 
 def _matrix_is_diagonal(matrix: np.ndarray) -> bool:
     off = matrix - np.diag(np.diag(matrix))
     return bool(np.all(np.abs(off) <= _ATOL))
+
+
+def _is_identity(matrix: np.ndarray) -> bool:
+    return equal_up_to_global_phase(matrix, np.eye(matrix.shape[0]))
+
+
+# ``Gate.__eq__`` against CNOT and X, as matrix predicates.
+def _is_cnot_matrix(matrix: np.ndarray) -> bool:
+    return matrix.shape == _CNOT_MATRIX.shape and bool(
+        np.allclose(matrix, _CNOT_MATRIX, atol=_ATOL)
+    )
+
+
+def _is_x_matrix(matrix: np.ndarray) -> bool:
+    return bool(np.allclose(matrix, _X_MATRIX, atol=_ATOL))
+
+
+def _cancels(first: np.ndarray, second: np.ndarray) -> bool:
+    return _is_identity(second @ first)
+
+
+def _commutator_vanishes(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.allclose(a @ b, b @ a, atol=_ATOL))
+
+
+def _fact(predicate: Callable[..., bool], *gates: Gate) -> bool:
+    """``predicate`` of the gates' unitaries, memoized by value."""
+    matrices = [np.asarray(gate.unitary(None), dtype=complex) for gate in gates]
+    key = (predicate, *[(matrix.shape[0], matrix.tobytes()) for matrix in matrices])
+    cached = _FACTS.get(key)
+    if cached is None:
+        cached = predicate(*matrices)
+        if max(matrix.shape[0] for matrix in matrices) <= _FACTS_MAX_DIM:
+            if len(_FACTS) >= _FACTS_MAX:
+                _FACTS.clear()
+            _FACTS[key] = cached
+    return cached
+
+
+# ---------------------------------------------------------------------------
+# Structural diagonality.
+# ---------------------------------------------------------------------------
+#: Per rotation *class* (an immutable property, safe to key by class).
+_DIAGONAL_CLASS_CACHE: Dict[type, bool] = {}
 
 
 def _rotation_class_diagonal(gate_class: type) -> bool:
@@ -79,17 +130,9 @@ def structurally_diagonal(gate: Gate) -> bool:
     if gate.is_parameterized:
         return False
     try:
-        matrix = gate.unitary(None)
+        return _fact(_matrix_is_diagonal, gate)
     except TypeError:  # measurement gates have no unitary
         return False
-    key = (matrix.shape[0], np.round(matrix, 9).tobytes())
-    cached = _DIAGONAL_MATRIX_CACHE.get(key)
-    if cached is None:
-        cached = _matrix_is_diagonal(matrix)
-        if len(_DIAGONAL_MATRIX_CACHE) >= _DIAGONAL_MATRIX_CACHE_MAX:
-            _DIAGONAL_MATRIX_CACHE.clear()
-        _DIAGONAL_MATRIX_CACHE[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +154,7 @@ def removable_identity(operation: Operation) -> bool:
         return False
     if isinstance(gate, _RotationGate) and _liftable_concrete_angle(gate):
         return False
-    matrix = gate.unitary(None)
-    return equal_up_to_global_phase(matrix, np.eye(matrix.shape[0]))
+    return _fact(_is_identity, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +221,7 @@ def try_merge(prev: Operation, cur: Operation):
         and not cur_gate.is_parameterized
         and prev.qubits == cur.qubits
     ):
-        product = cur_gate.unitary(None) @ prev_gate.unitary(None)
-        if equal_up_to_global_phase(product, np.eye(product.shape[0])):
+        if _fact(_cancels, prev_gate, cur_gate):
             return CANCEL
     return None
 
@@ -189,11 +230,13 @@ def try_merge(prev: Operation, cur: Operation):
 # Commutation.
 # ---------------------------------------------------------------------------
 def _is_cnot(gate: Gate) -> bool:
-    return gate is CNOT or (not gate.is_parameterized and gate == CNOT)
+    return gate is CNOT or (not gate.is_parameterized and _fact(_is_cnot_matrix, gate))
 
 
 def _x_axis_1q(gate: Gate) -> bool:
-    return gate is X or isinstance(gate, Rx) or (not gate.is_parameterized and gate.num_qubits == 1 and gate == X)
+    return gate is X or isinstance(gate, Rx) or (
+        not gate.is_parameterized and gate.num_qubits == 1 and _fact(_is_x_matrix, gate)
+    )
 
 
 def commutes(a: Operation, b: Operation) -> bool:
@@ -240,6 +283,5 @@ def commutes(a: Operation, b: Operation) -> bool:
         and not isinstance(a.gate, _RotationGate)
         and not isinstance(b.gate, _RotationGate)
     ):
-        ua, ub = a.gate.unitary(None), b.gate.unitary(None)
-        return bool(np.allclose(ua @ ub, ub @ ua, atol=_ATOL))
+        return _fact(_commutator_vanishes, a.gate, b.gate)
     return False

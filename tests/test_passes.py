@@ -502,6 +502,104 @@ class TestRoutingAfterRewrite:
         assert not structurally_diagonal(dense)
 
 
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _full_scan_partner(out, wires, current):
+    """Reference commutation partner search: every earlier output slot, latest first."""
+    from repro.circuits.noise import NoiseOperation
+
+    for index in range(len(out) - 1, -1, -1):
+        earlier = out[index]
+        if earlier is None or not set(earlier.qubits).intersection(current.qubits):
+            continue
+        if earlier.is_measurement or isinstance(earlier, NoiseOperation):
+            return None
+        if try_merge(earlier, current) is not None:
+            return index
+        if commutes(earlier, current):
+            continue
+        return None
+    return None
+
+
+class TestRewriteCost:
+    """The shared-qubit partner scan and the value-keyed memos change no decision."""
+
+    @pytest.mark.parametrize("alphabet", REWRITE_ALPHABETS + ("clifford+t", "pauli-noise"))
+    def test_shared_qubit_scan_matches_full_scan(self, circuit_fuzzer, alphabet):
+        from repro.circuits.passes.fusion import run_peephole
+
+        for seed in range(6):
+            circuit = _fuzz(circuit_fuzzer, seed, 4, 8, alphabet)
+            rewritten, actions = CommutationPass().rewrite(circuit)
+            reference, reference_actions = run_peephole(circuit, _full_scan_partner)
+            assert actions == reference_actions
+            assert [repr(op) for op in rewritten.all_operations()] == [
+                repr(op) for op in reference.all_operations()
+            ]
+
+    def _random_matrix_circuit(self, seed):
+        rng = np.random.default_rng(seed)
+        q = LineQubit.range(3)
+        circuit = Circuit()
+        for index in range(60):
+            one = MatrixGate(f"U{index}", _random_unitary(rng, 2))
+            two = MatrixGate(f"V{index}", _random_unitary(rng, 4))
+            diagonal = MatrixGate(f"D{index}", np.diag(np.exp(1j * rng.uniform(0, 6, size=2))))
+            a, b = (int(i) for i in rng.choice(3, size=2, replace=False))
+            circuit.append([one(q[a]), diagonal(q[a]), two(q[a], q[b]), CNOT(q[a], q[b]), diagonal(q[a])])
+        return circuit
+
+    def test_memos_stay_within_their_bounds(self, monkeypatch):
+        from repro.circuits import clifford
+        from repro.circuits.passes import rules
+
+        circuit = self._random_matrix_circuit(0)
+        reference = [repr(op) for op in default_pipeline().run(circuit).circuit.all_operations()]
+        monkeypatch.setattr(rules, "_FACTS_MAX", 16)
+        monkeypatch.setattr(clifford, "_CLASSIFY_CACHE_MAX", 16)
+        for memo in (rules._FACTS, clifford._EXACT_CLASSIFY_CACHE, clifford._CLASSIFY_CACHE):
+            memo.clear()
+        for seed in range(3):
+            result = default_pipeline().run(self._random_matrix_circuit(seed))
+            classify_circuit(result.circuit)
+            assert 0 < len(rules._FACTS) <= 16
+            assert 0 < len(clifford._EXACT_CLASSIFY_CACHE) <= 16
+            assert 0 < len(clifford._CLASSIFY_CACHE) <= 16
+        # Clearing a memo wholesale never changes a decision.
+        rules._FACTS.clear()
+        rerun = default_pipeline().run(circuit).circuit.all_operations()
+        assert [repr(op) for op in rerun] == reference
+
+    def test_mutated_gate_follows_its_new_value(self):
+        q = LineQubit.range(2)
+        gate = MatrixGate("G", np.array([[0, 1], [1, 0]], dtype=complex))
+        pair = Circuit([gate(q[0]), gate(q[0])])
+        single = Circuit([gate(q[0])])
+        blocked = Circuit([gate(q[0]), Z(q[0]), gate(q[0])])
+        # G = X: the pair cancels, G alone stays, and G does not commute with Z.
+        assert len(optimize_circuit(pair).circuit.all_operations()) == 0
+        assert len(optimize_circuit(single).circuit.all_operations()) == 1
+        assert len(optimize_circuit(blocked).circuit.all_operations()) == 3
+        assert not structurally_diagonal(gate)
+        assert classify_circuit(single).clifford
+
+        gate._matrix[:] = np.diag([1.0, np.exp(1j * np.pi / 4)])  # now G = T
+        # T.T = S is no cancellation, and T commutes with Z but T.T does not
+        # merge, so all three survive; T is diagonal and not Clifford.
+        assert len(optimize_circuit(pair).circuit.all_operations()) == 2
+        assert len(optimize_circuit(blocked).circuit.all_operations()) == 3
+        assert structurally_diagonal(gate)
+        assert not classify_circuit(single).clifford
+
+        gate._matrix[:] = np.eye(2)  # now G = I: dropped outright
+        assert len(optimize_circuit(single).circuit.all_operations()) == 0
+        assert commutes(gate(q[0]), H(q[0]))
+
+
 class TestFrameworkSurface:
     """Pipeline plumbing: stats, spec resolution, error paths."""
 
