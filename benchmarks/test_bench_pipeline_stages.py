@@ -14,6 +14,7 @@ import pytest
 
 from repro.algorithms import random_clifford_circuit
 from repro.bayesnet import circuit_to_bayesnet
+from repro.circuits import depolarize
 from repro.circuits.passes import default_pipeline
 from repro.cnf import encode_bayesnet
 from repro.knowledge import ArithmeticCircuit, KnowledgeCompiler, forget, smooth
@@ -63,6 +64,34 @@ def test_stage_cnf_to_ddnnf(benchmark, ansatz):
 
     root, manager = benchmark(compile_once)
     benchmark.extra_info["cnf_clauses"] = encoding.cnf.num_clauses
+
+
+def test_stage_noisy_ddnnf(benchmark):
+    """The d-DNNF search alone on noisy QAOA p=1 at n=5.
+
+    The ideal ansatz above needs few decisions, and its time is mostly the
+    decision order.  A noisy circuit makes hundreds of decisions, so unit
+    propagation and component splitting dominate.  The order is computed
+    once, outside the timed call.
+    """
+    noisy = QAOACircuit(random_regular_maxcut(5, seed=7), 1).circuit.with_noise(
+        lambda: depolarize(0.005)
+    )
+    encoding = encode_bayesnet(circuit_to_bayesnet(noisy))
+    compiler = KnowledgeCompiler(order_method="hypergraph")
+    state_bits = [bit for bits in encoding.node_bits.values() for bit in bits]
+    order = compiler.decision_order(encoding.cnf)
+
+    def compile_once():
+        _, _, stats = compiler.compile(
+            encoding.cnf, variable_order=order, decision_variables=state_bits
+        )
+        return stats
+
+    stats = benchmark(compile_once)
+    benchmark.extra_info["cnf_clauses"] = encoding.cnf.num_clauses
+    benchmark.extra_info["decisions"] = stats.decisions
+    benchmark.extra_info["cache_hits"] = stats.cache_hits
 
 
 def test_stage_full_compile(benchmark, ansatz):

@@ -13,11 +13,31 @@ It performs exhaustive DPLL search with
 The result is a decision-DNNF whose OR nodes are deterministic (each decides
 one variable), which after smoothing evaluates amplitudes by a single
 bottom-up pass — the arithmetic circuit of the paper's Figure 5.
+
+One compilation runs in one :class:`_Search`, which keeps an occurrence
+index (literal -> clauses and variable -> clauses), as sharpSAT (Thurley,
+SAT 2006) and c2d (Darwiche, ECAI 2004) do.  The index starts from the CNF,
+and every clause tuple the search makes (a reduced residual clause or a
+decision unit) is added as it is made.  Propagating a literal then visits
+only the clauses of the formula that contain it or its negation, and a
+component split walks only the clauses of the variables it reaches.
+
+Sub-formulas are still cached under their residual clause sets (frozensets
+of sorted literal tuples): set equality decides which branches share a
+node, and a more compact key could merge or split entries and so change the
+d-DNNF.  The output is also order-sensitive.  AND children are sorted by
+node id, node ids follow creation order, and creation order follows the
+component order, which comes from frozenset iteration order.  So every
+frozenset the search builds is built by inserting clauses in the order the
+reference algorithm would: a residual in its input's iteration order,
+filtered and reduced; each component in first-occurrence order, listing its
+clauses in input order.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import filterfalse
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..bayesnet.elimination_order import elimination_order
@@ -25,6 +45,7 @@ from ..cnf.formula import CNF, Clause
 from .nnf import NNFManager, NNFNode
 
 ClauseSet = FrozenSet[Clause]
+_NO_CLAUSES: ClauseSet = frozenset()
 
 
 class CompilationStats:
@@ -83,7 +104,6 @@ class KnowledgeCompiler:
             owning it, and :class:`CompilationStats` counters for the run.
         """
         manager = manager or NNFManager()
-        stats = CompilationStats()
         if variable_order is None:
             variable_order = self.decision_order(cnf)
         order_index: Dict[int, int] = {var: i for i, var in enumerate(variable_order)}
@@ -96,166 +116,220 @@ class KnowledgeCompiler:
         decision_set = set(decision_variables) if decision_variables is not None else None
 
         clauses: ClauseSet = frozenset(tuple(sorted(set(c))) for c in cnf.clauses)
-        cache: Dict[ClauseSet, NNFNode] = {}
+        search = _Search(clauses, manager, order_index, decision_set)
+        units = [clause[0] for clause in clauses if len(clause) == 1]
 
         previous_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous_limit, 100_000))
         try:
-            root = self._compile(clauses, manager, cache, order_index, stats, decision_set)
+            root = search.compile(clauses, units)
         finally:
             sys.setrecursionlimit(previous_limit)
-        return root, manager, stats
+        return root, manager, search.stats
 
     def decision_order(self, cnf: CNF) -> List[int]:
         """Static decision order over the CNF's variables."""
         return list(elimination_order(cnf.primal_graph(), self.order_method))
 
-    # ------------------------------------------------------------------
-    def _compile(
+
+class _Search:
+    """The state of one compilation: manager, formula cache and occurrence index.
+
+    Every clause the search handles is registered in ``by_literal`` and
+    ``by_variable``, so a clause set's clauses that contain a literal are
+    ``by_literal[literal] & clauses``.
+    """
+
+    def __init__(
         self,
-        clauses: ClauseSet,
+        clauses: Iterable[Clause],
         manager: NNFManager,
-        cache: Dict[ClauseSet, NNFNode],
         order_index: Dict[int, int],
-        stats: CompilationStats,
         decision_set: Optional[Set[int]],
-    ) -> NNFNode:
-        cached = cache.get(clauses)
+    ):
+        self.manager = manager
+        self.order_index = order_index
+        self.decision_set = decision_set
+        self.stats = CompilationStats()
+        self.cache: Dict[ClauseSet, NNFNode] = {}
+        self.by_literal: Dict[int, Set[Clause]] = {}
+        self.by_variable: Dict[int, Set[Clause]] = {}
+        self._registered: Set[Clause] = set()
+        for clause in clauses:
+            self.register(clause)
+
+    def register(self, clause: Clause) -> None:
+        """Add ``clause`` to the occurrence index (once)."""
+        if clause in self._registered:
+            return
+        self._registered.add(clause)
+        for literal in clause:
+            self.by_literal.setdefault(literal, set()).add(clause)
+            self.by_variable.setdefault(abs(literal), set()).add(clause)
+
+    # ------------------------------------------------------------------
+    def propagate(
+        self, clauses: Iterable[Clause], members: ClauseSet, units: Sequence[int]
+    ) -> Tuple[List[Clause], Set[int], bool]:
+        """Unit-propagate ``units`` through ``clauses`` to a fixpoint.
+
+        ``members`` is the set of ``clauses``, which must all be registered,
+        and ``units`` are the literals of its unit clauses.  Returns
+        ``(residual, implied, conflict)``: the clauses no implied literal
+        satisfies, in ``clauses`` order, with the falsified literals dropped.
+        An empty clause is a conflict.  On a conflict the residual is empty
+        and ``implied`` holds what was derived before it.
+        """
+        implied: Set[int] = set()
+        if () in members:
+            return [], implied, True
+        by_literal = self.by_literal
+        satisfied: Set[Clause] = set()
+        reduced: Dict[Clause, Clause] = {}
+        queue = list(units)
+        for literal in queue:
+            if literal in implied:
+                continue
+            if -literal in implied:
+                return [], implied, True
+            implied.add(literal)
+            satisfied |= by_literal.get(literal, _NO_CLAUSES) & members
+            for clause in by_literal.get(-literal, _NO_CLAUSES) & members:
+                if clause in satisfied:
+                    continue
+                rest = tuple([l for l in clause if -l not in implied])
+                if not rest:
+                    return [], implied, True
+                if len(rest) == 1:
+                    queue.append(rest[0])
+                reduced[clause] = rest
+        for clause, rest in reduced.items():
+            if clause not in satisfied:
+                self.register(rest)
+        kept = list(filterfalse(satisfied.__contains__, clauses))
+        residual = list(map(reduced.get, kept, kept)) if reduced else kept
+        return residual, implied, False
+
+    def split(self, clauses: ClauseSet) -> List[Tuple[ClauseSet, Set[int]]]:
+        """Partition registered ``clauses`` into variable-disjoint components.
+
+        A breadth-first walk over ``by_variable``.  Components come out in
+        first-occurrence order, each a frozenset built from its clauses in
+        ``clauses`` order, together with its variable set.
+        """
+        by_variable = self.by_variable
+        unassigned = set(clauses)
+        groups: List[List[Clause]] = []
+        variable_sets: List[Set[int]] = []
+        for start in clauses:
+            if not unassigned:
+                break
+            if start not in unassigned:
+                continue
+            unassigned.discard(start)
+            group = [start]
+            variables: Set[int] = set()
+            for clause in group:
+                for literal in clause:
+                    variable = abs(literal)
+                    if variable not in variables:
+                        variables.add(variable)
+                        found = by_variable[variable] & unassigned
+                        if found:
+                            unassigned -= found
+                            group.extend(found)
+            groups.append(group)
+            variable_sets.append(variables)
+        if len(groups) == 1:
+            return [(frozenset(list(clauses)), variable_sets[0])]
+        # A stable sort by component keeps each component's clauses in
+        # ``clauses`` order.
+        owner: Dict[Clause, int] = {}
+        for index, group in enumerate(groups):
+            owner.update(dict.fromkeys(group, index))
+        ordered = sorted(clauses, key=owner.__getitem__)
+        components = []
+        offset = 0
+        for group, variables in zip(groups, variable_sets):
+            components.append((frozenset(ordered[offset : offset + len(group)]), variables))
+            offset += len(group)
+        return components
+
+    # ------------------------------------------------------------------
+    def compile(self, clauses: ClauseSet, units: Sequence[int]) -> NNFNode:
+        """The d-DNNF of ``clauses``, whose unit clauses are ``units``."""
+        cached = self.cache.get(clauses)
         if cached is not None:
-            stats.cache_hits += 1
+            self.stats.cache_hits += 1
             return cached
 
-        simplified, implied, conflict = unit_propagate(clauses)
+        manager = self.manager
+        residual, implied, conflict = self.propagate(clauses, clauses, units)
         if conflict:
-            cache[clauses] = manager.false()
+            self.cache[clauses] = manager.false()
             return manager.false()
 
         literal_nodes = [manager.literal(lit) for lit in sorted(implied, key=abs)]
 
-        if not simplified:
+        if not residual:
             node = manager.conjoin(literal_nodes)
-            cache[clauses] = node
+            self.cache[clauses] = node
             return node
 
-        components = split_components(simplified)
+        components = self.split(frozenset(residual))
         if len(components) > 1:
-            stats.component_splits += 1
+            self.stats.component_splits += 1
 
-        component_nodes: List[NNFNode] = []
-        for component in components:
-            component_nodes.append(
-                self._compile_component(component, manager, cache, order_index, stats, decision_set)
-            )
-
+        component_nodes = [
+            self._compile_component(component, variables) for component, variables in components
+        ]
         node = manager.conjoin(literal_nodes + component_nodes)
-        cache[clauses] = node
+        self.cache[clauses] = node
         return node
 
-    def _compile_component(
-        self,
-        component: ClauseSet,
-        manager: NNFManager,
-        cache: Dict[ClauseSet, NNFNode],
-        order_index: Dict[int, int],
-        stats: CompilationStats,
-        decision_set: Optional[Set[int]],
-    ) -> NNFNode:
-        cached = cache.get(component)
+    def _compile_component(self, component: ClauseSet, variables: Set[int]) -> NNFNode:
+        cached = self.cache.get(component)
         if cached is not None:
-            stats.cache_hits += 1
+            self.stats.cache_hits += 1
             return cached
 
-        variables = {abs(l) for clause in component for l in clause}
         candidates = variables
-        if decision_set is not None:
-            preferred = variables & decision_set
+        if self.decision_set is not None:
+            preferred = variables & self.decision_set
             if preferred:
                 candidates = preferred
+        order_index = self.order_index
         decision = min(candidates, key=lambda v: (order_index.get(v, v), v))
-        stats.decisions += 1
+        self.stats.decisions += 1
 
-        positive = self._compile(
-            component | frozenset({(decision,)}), manager, cache, order_index, stats, decision_set
-        )
-        negative = self._compile(
-            component | frozenset({(-decision,)}), manager, cache, order_index, stats, decision_set
-        )
-        node = manager.disjoin([positive, negative], decision_variable=decision)
-        cache[component] = node
+        branches = []
+        for literal in (decision, -decision):
+            unit = (literal,)
+            self.register(unit)
+            branches.append(self.compile(component | frozenset({unit}), (literal,)))
+        node = self.manager.disjoin(branches, decision_variable=decision)
+        self.cache[component] = node
         return node
 
 
 # ----------------------------------------------------------------------
-# CNF manipulation helpers (shared with the encoder's simplifier)
+# Single-call helpers over a one-off search
 # ----------------------------------------------------------------------
 def unit_propagate(clauses: Iterable[Clause]) -> Tuple[ClauseSet, Set[int], bool]:
     """Unit propagation to a fixpoint.
 
     Returns ``(residual_clauses, implied_literals, conflict)``.  The residual
-    clauses contain no implied variables and no unit clauses.
+    clauses contain no implied variables and are sorted, duplicate-free
+    literal tuples.  An empty clause is a conflict.
     """
-    working: List[List[int]] = [list(c) for c in clauses]
-    implied: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        units = [c[0] for c in working if len(c) == 1]
-        if not units:
-            break
-        for literal in units:
-            if -literal in implied:
-                return frozenset(), implied, True
-            if literal in implied:
-                continue
-            implied.add(literal)
-            changed = True
-        new_working: List[List[int]] = []
-        for clause in working:
-            satisfied = False
-            reduced: List[int] = []
-            for literal in clause:
-                if literal in implied:
-                    satisfied = True
-                    break
-                if -literal in implied:
-                    continue
-                reduced.append(literal)
-            if satisfied:
-                continue
-            if not reduced:
-                return frozenset(), implied, True
-            new_working.append(reduced)
-        working = new_working
-    residual = frozenset(tuple(sorted(set(c))) for c in working)
-    return residual, implied, False
+    working = [tuple(clause) for clause in clauses]
+    search = _Search(working, NNFManager(), {}, None)
+    units = [clause[0] for clause in working if len(clause) == 1]
+    residual, implied, conflict = search.propagate(working, frozenset(working), units)
+    return frozenset(tuple(sorted(set(clause))) for clause in residual), implied, conflict
 
 
 def split_components(clauses: ClauseSet) -> List[ClauseSet]:
-    """Partition clauses into groups sharing no variables (union-find)."""
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for clause in clauses:
-        variables = [abs(l) for l in clause]
-        for var in variables:
-            parent.setdefault(var, var)
-        for other in variables[1:]:
-            union(variables[0], other)
-
-    groups: Dict[int, List[Clause]] = {}
-    for clause in clauses:
-        root = find(abs(clause[0]))
-        groups.setdefault(root, []).append(clause)
-    return [frozenset(group) for group in groups.values()]
+    """Partition clauses into groups sharing no variables."""
+    search = _Search(clauses, NNFManager(), {}, None)
+    return [component for component, _ in search.split(clauses)]

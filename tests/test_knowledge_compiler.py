@@ -159,3 +159,163 @@ class TestCompilerStructure:
         summary = stats.as_dict()
         assert set(summary) == {"decisions", "cache_hits", "component_splits"}
         assert summary["decisions"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Reference equivalence: the occurrence-indexed helpers against the
+# whole-formula rescans they replaced.  Set iteration order decides node
+# ids in the compiled d-DNNF, so the residual and every component must be
+# equal as ordered sequences, not only as sets.
+# ----------------------------------------------------------------------
+def reference_unit_propagate(clauses):
+    working = [list(c) for c in clauses]
+    implied = set()
+    changed = True
+    while changed:
+        changed = False
+        units = [c[0] for c in working if len(c) == 1]
+        if not units:
+            break
+        for literal in units:
+            if -literal in implied:
+                return frozenset(), implied, True
+            if literal in implied:
+                continue
+            implied.add(literal)
+            changed = True
+        new_working = []
+        for clause in working:
+            satisfied = False
+            reduced = []
+            for literal in clause:
+                if literal in implied:
+                    satisfied = True
+                    break
+                if -literal in implied:
+                    continue
+                reduced.append(literal)
+            if satisfied:
+                continue
+            if not reduced:
+                return frozenset(), implied, True
+            new_working.append(reduced)
+        working = new_working
+    residual = frozenset(tuple(sorted(set(c))) for c in working)
+    return residual, implied, False
+
+
+def reference_split_components(clauses):
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for clause in clauses:
+        variables = [abs(l) for l in clause]
+        for var in variables:
+            parent.setdefault(var, var)
+        for other in variables[1:]:
+            union(variables[0], other)
+
+    groups = {}
+    for clause in clauses:
+        root = find(abs(clause[0]))
+        groups.setdefault(root, []).append(clause)
+    return [frozenset(group) for group in groups.values()]
+
+
+def assert_propagation_matches_reference(clauses):
+    residual, implied, conflict = unit_propagate(clauses)
+    expected_residual, expected_implied, expected_conflict = reference_unit_propagate(clauses)
+    assert conflict == expected_conflict
+    if conflict:
+        # The reference stops at the first conflict its round-by-round scan
+        # meets, so the literals it has implied by then depend on that scan
+        # order; the compiler discards them.
+        assert residual == expected_residual == frozenset()
+    else:
+        assert implied == expected_implied
+        assert list(residual) == list(expected_residual)
+
+
+def assert_split_matches_reference(clauses):
+    components = split_components(clauses)
+    expected = reference_split_components(clauses)
+    assert [list(component) for component in components] == [list(c) for c in expected]
+
+
+#: Literals over six variables; drawing with replacement gives clauses with
+#: duplicate literals and complementary pairs.
+literals = st.integers(min_value=1, max_value=6).flatmap(lambda v: st.sampled_from([v, -v]))
+clause_lists = st.lists(
+    st.lists(literals, min_size=1, max_size=4).map(tuple),
+    min_size=0,
+    max_size=14,
+)
+
+
+class TestReferenceEquivalence:
+    @given(clause_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_unit_propagate_matches_reference(self, clauses):
+        assert_propagation_matches_reference(clauses)
+
+    @given(clause_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_unit_propagate_matches_reference_on_normalized_sets(self, clauses):
+        # The compiler's own inputs: sorted, duplicate-free tuples in a frozenset.
+        assert_propagation_matches_reference(frozenset(tuple(sorted(set(c))) for c in clauses))
+
+    @given(clause_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_split_components_matches_reference(self, clauses):
+        assert_split_matches_reference(frozenset(clauses))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_split_of_propagated_residual_matches_reference(self, seed):
+        cnf = random_cnf(num_vars=12, num_clauses=14, seed=seed, max_width=3)
+        residual, _, conflict = unit_propagate(cnf.clauses)
+        if not conflict:
+            assert_split_matches_reference(residual)
+
+    def test_conflict_through_an_emptied_clause(self):
+        clauses = [(1,), (2,), (-1, -2), (3, 4)]
+        assert_propagation_matches_reference(clauses)
+        assert unit_propagate(clauses)[2]
+
+    def test_conflict_through_complementary_units(self):
+        clauses = [(1,), (-1, 2), (-1, -2), (3, 4)]
+        assert_propagation_matches_reference(clauses)
+        assert unit_propagate(clauses)[2]
+
+    def test_clause_satisfied_after_it_went_unit(self):
+        # (-1, 2) becomes the unit (2,) and is then satisfied by 2.
+        clauses = [(2, 3), (1,), (-1, 2), (-2, 4, 5), (-3, 4, 6)]
+        assert_propagation_matches_reference(clauses)
+        residual, implied, conflict = unit_propagate(clauses)
+        assert not conflict
+        assert implied == {1, 2}
+        assert residual == frozenset({(4, 5), (-3, 4, 6)})
+
+    def test_duplicate_literal_clause_is_not_a_unit(self):
+        clauses = [(3, 3), (-2, 1, 1), (2,)]
+        assert_propagation_matches_reference(clauses)
+        residual, implied, _ = unit_propagate(clauses)
+        assert implied == {2}
+        assert residual == frozenset({(3,), (1,)})
+
+    def test_empty_input_clause_is_a_conflict(self):
+        # The reference returned an empty input clause as residual when no
+        # unit clause was present; an empty clause is unsatisfiable.
+        assert unit_propagate([(1, 2), ()])[2]
