@@ -175,6 +175,35 @@ def test_stage_gibbs_sweep(benchmark, compiled, resolver):
     benchmark.extra_info["cone_fraction_max"] = float(np.max(fractions))
 
 
+@pytest.mark.parametrize("kind", ["upward", "sweep"])
+def test_stage_noisy_ac_pass(benchmark, kind):
+    """The arithmetic-circuit passes of a noisy-vqa op, on 64 chains.
+
+    Noisy QAOA p=1 at n=4 (0.5% depolarizing), as in the perf benchmark:
+    ``upward`` is one 64-wide ``evaluate_batch``, ``sweep`` one
+    ``sweep_batch`` (a full pass plus one cone step per free bit).
+    """
+    ansatz = QAOACircuit(random_regular_maxcut(4, seed=7), iterations=1)
+    noisy = ansatz.circuit.with_noise(lambda: depolarize(0.005))
+    compiled = KnowledgeCompilationSimulator(seed=1, cache=None).compile_circuit(noisy)
+    sampler = GibbsSampler(
+        compiled, resolver=ansatz.resolver([0.6, 0.4]), rng=np.random.default_rng(3)
+    )
+    states, _ = sampler.initial_states(64)
+    ac = compiled.arithmetic_circuit
+    if kind == "upward":
+        literal_values, _ = sampler._bind_states(states)
+        roots = benchmark(lambda: ac.evaluate_batch(literal_values))
+        assert np.all(roots != 0)
+    else:
+        weights = benchmark(lambda: sampler.sweep_batch(states))
+        assert np.all(weights > 0.0)
+    benchmark.extra_info["chains"] = states.shape[0]
+    benchmark.extra_info["free_bits"] = len(sampler.bits)
+    benchmark.extra_info["groups"] = len(ac._groups)
+    benchmark.extra_info["edges"] = ac.num_edges
+
+
 def test_stage_elision_ablation(benchmark, ansatz):
     """Compile without elision to quantify the size the optimization saves."""
     simulator = KnowledgeCompilationSimulator(seed=1, elide_internal=False, cache=None)

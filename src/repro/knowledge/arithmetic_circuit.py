@@ -12,10 +12,15 @@ addition — is the paper's arithmetic circuit (Figure 5).  Two passes matter:
   sampler reads one flipped neighbour per chain: upward passes only.
 
 Values are complex (quantum amplitudes); noise probabilities embed as the
-real entries of Kraus operators.  Both passes are vectorised: nodes are
-grouped by topological level and evaluated with ``reduceat``/scatter-add
-operations, so repeated queries (the variational-algorithm use case) cost a
-handful of NumPy calls per level rather than a Python loop per node.
+real entries of Kraus operators.  Both passes are vectorised: internal nodes
+are grouped by topological level, type and arity, and each group keeps an
+``(arity, nodes)`` child matrix.  The upward pass gathers it with one ``take``
+and folds the ``arity`` rows with elementwise multiplies (AND) or adds (OR);
+the downward pass scatter-adds per-edge gradients.  The fold is a chain of
+fresh binary ufunc calls, never ``ufunc.reduce``, ``reduceat`` or an ``out=``
+aliasing the accumulator: only the plain elementwise loop gives an element
+the same bits whatever the batch width and whichever group subset is
+evaluated, which the cone passes below rely on.
 
 Batch axis
 ----------
@@ -23,8 +28,8 @@ Both passes additionally accept a *batch* of literal bindings:
 :meth:`ArithmeticCircuit.evaluate_batch` and
 :meth:`ArithmeticCircuit.evaluate_with_derivatives_batch` take literal values
 of shape ``(B, num_vars + 1, 2)`` and run the same level-grouped passes over
-``(num_nodes, B)`` value/gradient arrays — one set of NumPy calls per level
-*regardless of B*.  Amortising the per-level dispatch overhead across many
+``(num_nodes, B)`` value/gradient arrays — one set of NumPy calls per group
+*regardless of B*.  Amortising the per-group dispatch overhead across many
 simultaneous queries is what makes many-chain Gibbs sampling and full
 state-vector reconstruction cheap (one batched sweep instead of ``B`` scalar
 sweeps).  The scalar :meth:`evaluate` / :meth:`evaluate_with_derivatives`
@@ -99,36 +104,29 @@ class _ScatterPlan:
         target[self.unique_targets] += sums
 
 
-class _LevelGroup:
-    """All AND (or all OR) nodes sharing one topological level."""
+def _fold(op: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """``op`` over the leading axis of ``rows`` as a chain of fresh binary
+    calls, whose bits do not depend on width or position (module docstring)."""
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = op(acc, row)
+    return acc
 
-    __slots__ = (
-        "is_and",
-        "node_positions",
-        "child_indices",
-        "offsets",
-        "arities",
-        "parent_per_edge",
-        "scatter",
-    )
+
+class _LevelGroup:
+    """All AND (or all OR) nodes of one arity sharing one topological level.
+
+    ``children`` is an ``(arity, nodes)`` matrix: row ``j`` holds every
+    node's ``j``-th child, in the node's own child order.
+    """
+
+    __slots__ = ("is_and", "node_positions", "children", "scatter")
 
     def __init__(self, is_and: bool, node_positions: List[int], children: List[List[int]]):
         self.is_and = is_and
         self.node_positions = np.asarray(node_positions, dtype=np.int64)
-        self.arities = np.asarray([len(c) for c in children], dtype=np.int64)
-        flat: List[int] = []
-        offsets: List[int] = []
-        cursor = 0
-        for child_list in children:
-            offsets.append(cursor)
-            flat.extend(child_list)
-            cursor += len(child_list)
-        self.child_indices = np.asarray(flat, dtype=np.int64)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        # Absolute node position of each edge's parent, for direct gathers in
-        # the downward pass.
-        self.parent_per_edge = np.repeat(self.node_positions, self.arities)
-        self.scatter = _ScatterPlan(self.child_indices)
+        self.children = np.ascontiguousarray(np.asarray(children, dtype=np.int64).T)
+        self.scatter = _ScatterPlan(self.children.ravel())
 
 
 class ArithmeticCircuit:
@@ -194,19 +192,19 @@ class ArithmeticCircuit:
             self._literal_vars * 2 + self._literal_signs
         )
 
-        # Group internal nodes by (level, type) for vectorised passes.
-        grouped: Dict[Tuple[int, int], Tuple[List[int], List[List[int]]]] = {}
+        # Group internal nodes by (level, type, arity) for vectorised passes.
+        grouped: Dict[Tuple[int, int, int], Tuple[List[int], List[List[int]]]] = {}
         for position in range(self.num_nodes):
             node_type = self.node_types[position]
             if node_type not in (NODE_AND, NODE_OR):
                 continue
-            key = (int(levels[position]), node_type)
+            key = (int(levels[position]), node_type, len(self.children[position]))
             bucket = grouped.setdefault(key, ([], []))
             bucket[0].append(position)
             bucket[1].append(self.children[position])
         self._groups: List[_LevelGroup] = [
             _LevelGroup(node_type == NODE_AND, positions, children)
-            for (level, node_type), (positions, children) in sorted(grouped.items())
+            for (_, node_type, _), (positions, children) in sorted(grouped.items())
         ]
 
         # Per-batch-size scratch arrays (small LRU), managed by _workspace_for.
@@ -295,9 +293,10 @@ class ArithmeticCircuit:
 
         Fills the ``(num_nodes, B)`` ``values`` array in place.  Only with
         ``track_zeros`` does it keep (and return) the per-AND-group zero
-        bookkeeping the downward pass needs: zero counts and zero-masked
-        products per node, the per-edge child zero mask, and the gathered
-        children with zeros replaced by one (a division-safe denominator).
+        bookkeeping the downward pass needs: ``(nodes, B)`` zero counts and
+        zero-masked products, the ``(arity, nodes, B)`` child zero mask, and
+        the gathered children with zeros replaced by one (a division-safe
+        denominator).
         """
         # Every AND/OR node is written by its group below; only leaves need filling.
         values[self._false_positions] = 0.0
@@ -310,19 +309,16 @@ class ArithmeticCircuit:
             Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
         ] = []
         for group in self._groups:
-            gathered = values[group.child_indices]
+            gathered = values.take(group.children, axis=0)
             if group.is_and and track_zeros:
                 zero_mask = gathered == 0
-                zero_counts = np.add.reduceat(
-                    zero_mask.astype(np.int32), group.offsets, axis=0
-                )
-                gathered[zero_mask] = 1.0  # fresh gather copy; safe to clean in place
-                nonzero_product = np.multiply.reduceat(gathered, group.offsets, axis=0)
+                zero_counts = zero_mask.sum(axis=0)
+                np.copyto(gathered, 1.0, where=zero_mask)  # a fresh gather; safe to clean
+                nonzero_product = _fold(np.multiply, gathered)
                 values[group.node_positions] = np.where(zero_counts > 0, 0.0 + 0j, nonzero_product)
                 and_bookkeeping.append((zero_counts, nonzero_product, zero_mask, gathered))
                 continue
-            reduce = np.multiply if group.is_and else np.add
-            values[group.node_positions] = reduce.reduceat(gathered, group.offsets, axis=0)
+            values[group.node_positions] = _fold(np.multiply if group.is_and else np.add, gathered)
             and_bookkeeping.append(None)
         return and_bookkeeping
 
@@ -333,7 +329,7 @@ class ArithmeticCircuit:
 
         ``literal_values`` has shape ``(B, num_vars + 1, 2)``; returns the
         ``(B,)`` array of weighted model counts.  Cost is one set of NumPy
-        calls per level regardless of ``B``.  A caller-owned ``(num_nodes, B)``
+        calls per group regardless of ``B``.  A caller-owned ``(num_nodes, B)``
         complex ``values`` matrix, if given, replaces the workspace and keeps
         every node's value for :meth:`evaluate_cone`.
         """
@@ -348,7 +344,7 @@ class ArithmeticCircuit:
 
     def _cone(self, variable: int) -> Tuple:
         """``variable``'s positive and negative leaves, per-level-group
-        ``(reduce, nodes, children, offsets)`` over its cone, and all cone nodes.
+        ``(op, nodes, children)`` over its cone, and all cone nodes.
         """
         cone = self._cones.get(variable)
         if cone is None:
@@ -358,16 +354,14 @@ class ArithmeticCircuit:
             in_cone[leaves] = True
             groups = []
             for group in self._groups:
-                members = np.logical_or.reduceat(in_cone[group.child_indices], group.offsets)
+                members = in_cone[group.children].any(axis=0)
                 if not members.any():
                     continue
                 in_cone[group.node_positions[members]] = True
-                arities = group.arities[members]
                 groups.append((
                     np.multiply if group.is_and else np.add,
                     group.node_positions[members],
-                    group.child_indices[np.repeat(members, group.arities)],
-                    np.cumsum(arities) - arities,
+                    np.ascontiguousarray(group.children[:, members]),
                 ))
             cone = (leaves[signs == 1], leaves[signs == 0], groups, np.flatnonzero(in_cone))
             self._cones[variable] = cone
@@ -388,8 +382,8 @@ class ArithmeticCircuit:
         undo = (nodes, values[nodes])
         values[positive_leaves] = positive
         values[negative_leaves] = negative
-        for reduce, node_positions, child_indices, offsets in groups:
-            values[node_positions] = reduce.reduceat(values[child_indices], offsets, axis=0)
+        for op, node_positions, children in groups:
+            values[node_positions] = _fold(op, values.take(children, axis=0))
         return values[self.root_index].copy(), undo
 
     def evaluate_with_derivatives_batch(
@@ -414,32 +408,24 @@ class ArithmeticCircuit:
         gradients[self.root_index] = 1.0
         for group_index in range(len(self._groups) - 1, -1, -1):
             group = self._groups[group_index]
-            per_edge_gradient = gradients[group.parent_per_edge]
+            # (nodes, B), broadcast over the (arity, nodes, B) edge gathers.
+            parent_gradient = gradients[group.node_positions]
             if group.is_and:
                 zero_counts, nonzero_product, zero_mask, cleaned_children = (
                     and_bookkeeping[group_index]
                 )
-                zero_counts_per_edge = np.repeat(zero_counts, group.arities, axis=0)
-                nonzero_product_per_edge = np.repeat(nonzero_product, group.arities, axis=0)
                 # Product of the node's *other* children:
                 #  - no zero children: nonzero_product / child_value
                 #  - exactly one zero child: nonzero_product for that child, 0 for others
                 #  - two or more zero children: 0 everywhere.
                 # ``cleaned_children`` has the zeros replaced by one, so the
-                # division needs no masking; masked slots are discarded below.
-                ratio = nonzero_product_per_edge / cleaned_children
-                others_product = np.where(
-                    zero_counts_per_edge == 0,
-                    ratio,
-                    np.where(
-                        (zero_counts_per_edge == 1) & zero_mask,
-                        nonzero_product_per_edge,
-                        0.0 + 0j,
-                    ),
-                )
-                contributions = per_edge_gradient * others_product
+                # division needs no masking, and at a lone zero child it
+                # yields nonzero_product itself.
+                ratio = nonzero_product / cleaned_children
+                keep = (zero_counts == 0) | ((zero_counts == 1) & zero_mask)
+                contributions = np.where(keep, parent_gradient * ratio, 0.0 + 0j).reshape(-1, batch)
             else:
-                contributions = per_edge_gradient
+                contributions = np.tile(parent_gradient, (group.children.shape[0], 1))
             group.scatter.add_to(gradients, contributions)
 
         # Scatter leaf gradients back to (var, sign) slots; duplicate literal

@@ -549,5 +549,5 @@ class GibbsSampler:
             recorded.append(states[:, :num_final].copy())
         self._ensemble = (states, weights)
         stacked = np.concatenate(recorded, axis=0)[:num_samples]
-        samples = [tuple(int(value) for value in row) for row in stacked]
+        samples = list(map(tuple, stacked.tolist()))
         return SampleResult(self.compiled.qubits, samples)

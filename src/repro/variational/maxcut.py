@@ -36,6 +36,14 @@ class MaxCutProblem:
             raise ValueError("bit assignment length must equal the number of vertices")
         return sum(1 for u, v in self.edges if bits[u] != bits[v])
 
+    def cut_values(self, bit_matrix: Sequence[Sequence[int]]) -> np.ndarray:
+        """Cut value of each row of a ``(shots, num_vertices)`` bit matrix."""
+        bit_matrix = np.asarray(bit_matrix)
+        if bit_matrix.ndim != 2 or bit_matrix.shape[1] != self.num_vertices:
+            raise ValueError("bit matrix must have one column per vertex")
+        u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return np.count_nonzero(bit_matrix[:, u] != bit_matrix[:, v], axis=1)
+
     def cost(self, bits: Sequence[int]) -> float:
         """QAOA cost (negative cut value, so minimisation finds the max cut)."""
         return -float(self.cut_value(bits))

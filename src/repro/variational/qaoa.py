@@ -67,10 +67,8 @@ class QAOACircuit:
         """Mean cost (negative cut) over a :class:`SampleResult`."""
         if len(samples) == 0:
             raise ValueError("no samples")
-        total = 0.0
-        for bits in samples:
-            total += self.problem.cost(bits)
-        return total / len(samples)
+        # Integer cuts sum exactly, as the per-shot float loop did.
+        return float(-self.problem.cut_values(list(samples)).sum()) / len(samples)
 
     def objective_from_distribution(self, distribution: Sequence[float]) -> float:
         return -self.problem.expected_cut(distribution)

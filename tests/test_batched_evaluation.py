@@ -7,7 +7,8 @@ multi-chain Gibbs ensemble must converge to the exact output distribution.
 The lean upward pass must agree with the differential pass's bookkeeping
 variant, and the Gibbs sampler's flip-and-upward conditionals with the
 derivative reads they replace; a sweep step's cone re-evaluation must equal
-the full upward pass it replaces, bit for bit.
+the full upward pass it replaces, bit for bit, and a pass's bits must not
+depend on the batch width.
 """
 
 import itertools
@@ -17,7 +18,14 @@ import numpy as np
 import pytest
 
 from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, Rz, depolarize
-from repro.knowledge.arithmetic_circuit import NODE_AND, NODE_LITERAL, NODE_OR, NODE_TRUE
+from repro.knowledge import NNFManager
+from repro.knowledge.arithmetic_circuit import (
+    NODE_AND,
+    NODE_LITERAL,
+    NODE_OR,
+    NODE_TRUE,
+    ArithmeticCircuit,
+)
 from repro.sampling import GibbsSampler, total_variation_distance
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 
@@ -95,6 +103,21 @@ def compiled_forced():
     return KnowledgeCompilationSimulator(seed=5).compile_circuit(circuit)
 
 
+@pytest.fixture
+def lone_and():
+    """``x1 & ((x2 & x3) | (x4 & x5))``: its top AND is alone in its group, and
+    the cone of ``x2`` holds one node of a two-node group."""
+    manager = NNFManager()
+    literal = manager.literal
+    pairs = [manager.conjoin([literal(2), literal(3)]), manager.conjoin([literal(4), literal(5)])]
+    return ArithmeticCircuit(manager.conjoin([literal(1), manager.disjoin(pairs)]), 5)
+
+
+def _circuit(request, fixture):
+    value = request.getfixturevalue(fixture)
+    return getattr(value, "arithmetic_circuit", value)
+
+
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
     def test_evaluate_batch_matches_scalar(self, fixture, request):
@@ -137,8 +160,25 @@ class TestBatchedEvaluation:
         lean = ac.evaluate_batch(literal_values)
         tracked, _ = ac.evaluate_with_derivatives_batch(literal_values)
         assert np.any(lean != 0) and np.any(lean == 0)
+        # On the zero-free rows both passes run the same fold.
+        np.testing.assert_array_equal(lean[:4].view(float), tracked[:4].view(float))
         np.testing.assert_allclose(lean, tracked, rtol=0, atol=1e-10)
         np.testing.assert_allclose(lean, reference_roots, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("width", [3, 64])
+    @pytest.mark.parametrize("fixture", ["compiled_noisy", "lone_and"])
+    def test_columns_equal_width_one_passes(self, fixture, width, request):
+        """A pass's bits do not depend on the batch width or the column."""
+        ac = _circuit(request, fixture)
+        literal_values = _random_literal_batch(ac, width, np.random.default_rng(width))
+        wide = np.empty((ac.num_nodes, width), dtype=complex)
+        roots = ac.evaluate_batch(literal_values, values=wide)
+        narrow = np.empty((ac.num_nodes, 1), dtype=complex)
+        for column in range(width):
+            root = ac.evaluate_batch(literal_values[column : column + 1], values=narrow)
+            assert np.array_equal(roots[column : column + 1].view(float), root.view(float))
+            column_values = np.ascontiguousarray(wide[:, column])
+            assert np.array_equal(column_values.view(float), narrow[:, 0].view(float))
 
     @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy"])
     def test_derivatives_batch_matches_scalar(self, fixture, request):
@@ -308,14 +348,15 @@ class TestFlipConditionals:
 class TestSweepCones:
     """A sweep step recomputes only the flipped bit's cone of a cached pass."""
 
+    @pytest.mark.parametrize("chains", [1, 3, 24, 64])
     @pytest.mark.parametrize(
         "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
     )
-    def test_cone_roots_equal_full_pass_over_flipped_states(self, fixture, request):
+    def test_cone_roots_equal_full_pass_over_flipped_states(self, fixture, chains, request):
         compiled = request.getfixturevalue(fixture)
         ac = compiled.arithmetic_circuit
         sampler = GibbsSampler(compiled, rng=np.random.default_rng(59))
-        states = sampler._random_states(24)
+        states = sampler._random_states(chains)
         # Every third row contradicts each CNF-forced bit (a zero row).
         states[::3] ^= sampler._forced_clear
         buffer, zero_rows = sampler._bind_states(states)
@@ -339,6 +380,29 @@ class TestSweepCones:
             np.testing.assert_array_equal(values, fresh)
             np.testing.assert_array_equal(old_values, cached[cone])
             assert np.all(np.diff(cone) > 0)
+
+    @pytest.mark.parametrize("chains", [1, 3, 64])
+    @pytest.mark.parametrize("fixture", ["compiled_ideal", "compiled_noisy", "lone_and"])
+    def test_cone_equals_full_pass_under_complex_bindings(self, fixture, chains, request):
+        """Generic complex leaves make every product's rounding visible.
+
+        A complex product with a real factor rounds the same way in every
+        NumPy loop, and the Gibbs bindings of these small circuits never
+        showed a difference; generic complex leaves do.
+        """
+        ac = _circuit(request, fixture)
+        rng = np.random.default_rng(chains)
+        literal_values = _random_literal_batch(ac, chains, rng, zero_fraction=0.0)
+        cached = np.empty((ac.num_nodes, chains), dtype=complex)
+        ac.evaluate_batch(literal_values, values=cached)
+        for variable in np.unique(ac._literal_vars):
+            replaced = literal_values.copy()
+            replaced[:, variable] = _random_literal_batch(ac, chains, rng, 0.0)[:, variable]
+            fresh = np.empty_like(cached)
+            ac.evaluate_batch(replaced, values=fresh)
+            values = cached.copy()
+            ac.evaluate_cone(values, variable, replaced[:, variable, 1], replaced[:, variable, 0])
+            assert np.array_equal(values.view(float), fresh.view(float))
 
     @pytest.mark.parametrize(
         "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]

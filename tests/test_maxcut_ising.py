@@ -4,7 +4,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.variational import IsingModel2D, MaxCutProblem, random_regular_maxcut, ring_maxcut, square_grid_ising
+from repro.variational import (
+    IsingModel2D,
+    MaxCutProblem,
+    QAOACircuit,
+    random_regular_maxcut,
+    ring_maxcut,
+    square_grid_ising,
+)
 
 
 class TestMaxCut:
@@ -46,9 +53,31 @@ class TestMaxCut:
         assert problem.num_vertices == 3
         assert len(problem.edges) == 3
 
+    @pytest.mark.parametrize("num_vertices", [4, 6, 7])
+    def test_cut_values_equal_per_shot_loop(self, num_vertices):
+        problem = random_regular_maxcut(num_vertices, seed=num_vertices)
+        ansatz = QAOACircuit(problem, iterations=1)
+        rng = np.random.default_rng(num_vertices)
+        bit_matrix = rng.integers(0, 2, size=(300, num_vertices))
+        bit_matrix[::7] = 0
+        bit_matrix[3::7] = 1
+        shots = [tuple(int(b) for b in row) for row in bit_matrix]
+
+        cuts = problem.cut_values(bit_matrix)
+        assert cuts.tolist() == [problem.cut_value(bits) for bits in shots]
+        assert cuts[::7].tolist() == [0] * len(cuts[::7])
+        assert cuts[3::7].tolist() == [0] * len(cuts[3::7])
+        loop_total = 0.0
+        for bits in shots:
+            loop_total += problem.cost(bits)
+        assert ansatz.objective_from_samples(shots) == loop_total / len(shots)
+        assert ansatz.objective_from_samples(shots[::7]) == 0.0
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             ring_maxcut(4).cut_value([0, 1])
+        with pytest.raises(ValueError):
+            ring_maxcut(4).cut_values([[0, 1]])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
