@@ -51,7 +51,7 @@ from ..errors import (
     RequestTypeError,
 )
 from ..knowledge.cache import CompiledCircuitCache
-from ..linalg.tensor_ops import bits_to_index, index_to_bits
+from ..linalg.tensor_ops import bits_to_index
 from ..simulator.results import SampleResult
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
@@ -241,7 +241,9 @@ def _sample_from_probabilities(
     probabilities = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
     probabilities = probabilities / probabilities.sum()
     indices = rng.choice(len(probabilities), size=repetitions, p=probabilities)
-    return SampleResult(qubits, [index_to_bits(int(i), len(qubits)) for i in indices])
+    # Qubit 0 is the most significant bit of a basis index.
+    shifts = np.arange(len(qubits) - 1, -1, -1)
+    return SampleResult(qubits, (indices[:, None] >> shifts) & 1)
 
 
 def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, request: RunRequest) -> Dict:
@@ -825,11 +827,14 @@ class Device:
             invoked before every item evaluation.
         optimize:
             ``None``/``False`` (default) runs circuits exactly as given;
-            ``"auto"``/``True`` rewrites each distinct circuit once with
+            ``"auto"``/``True`` rewrites each circuit with
             :func:`repro.circuits.passes.default_pipeline` before routing,
             classification and compilation, so smaller/Clifford-simplified
             circuits route and compile accordingly; a
             :class:`~repro.circuits.passes.PassPipeline` runs that pipeline.
+            The rewrite runs once per distinct content per process: a
+            re-submitted circuit of the same exact content gets the
+            memoized result (see ``docs/caching.md`` §1).
             Per-circuit stats land on :attr:`last_optimization`.  Light-cone
             contract: for circuits containing measurement gates, optimized
             results are guaranteed to match unoptimized ones over the

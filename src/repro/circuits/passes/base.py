@@ -27,12 +27,21 @@ across every backend.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..circuit import Circuit
+from ..topology import _circuit_content_key
 
 #: Values accepted by the ``optimize=`` keyword across the execution layers.
 OptimizeSpec = Union[None, bool, str, "PassPipeline"]
+
+#: Pipeline results by ``(passes, max_iterations, exact circuit content)``;
+#: the value is ``(output, output content, stats)``, with ``output`` ``None``
+#: when the pipeline returned its input unchanged.  Cleared wholesale past
+#: ``_PIPELINE_MEMO_MAX`` entries, and by
+#: :func:`repro.knowledge.cache.configure_default`.
+_PIPELINE_MEMO: Dict[tuple, tuple] = {}
+_PIPELINE_MEMO_MAX = 128
 
 
 class RewriteStats(NamedTuple):
@@ -139,7 +148,43 @@ class PassPipeline:
         self.max_iterations = int(max_iterations)
 
     def run(self, circuit: Circuit) -> OptimizationResult:
-        """Rewrite ``circuit`` to a fixed point of every pass."""
+        """Rewrite ``circuit`` to a fixed point of every pass.
+
+        Passes are pure functions of the circuit, so a circuit whose exact
+        content this pipeline has rewritten before gets the memoized output
+        and stats (its own object back when the pipeline changed nothing).
+        Pipelines holding a pass with instance state are never memoized:
+        that state could change between runs.
+        """
+        key = None
+        if all(getattr(p, "__dict__", None) == {} for p in self.passes):
+            content = _circuit_content_key(circuit)
+            if content is not None:
+                key = (self.passes, self.max_iterations, content)
+        if key is not None:
+            entry = _PIPELINE_MEMO.get(key)
+            if entry is not None:
+                output, output_key, stats = entry
+                if output is None:
+                    return OptimizationResult(circuit, stats)
+                # The output shares gates with the circuit that filled the
+                # entry; reuse it only while their content is unchanged.
+                if _circuit_content_key(output) == output_key:
+                    return OptimizationResult(output, stats)
+        result = self._rewrite_to_fixpoint(circuit)
+        if key is not None:
+            if result.circuit is circuit:
+                entry = (None, None, result.stats)
+            else:
+                output_key = _circuit_content_key(result.circuit)
+                entry = None if output_key is None else (result.circuit, output_key, result.stats)
+            if entry is not None:
+                if len(_PIPELINE_MEMO) >= _PIPELINE_MEMO_MAX:
+                    _PIPELINE_MEMO.clear()
+                _PIPELINE_MEMO[key] = entry
+        return result
+
+    def _rewrite_to_fixpoint(self, circuit: Circuit) -> OptimizationResult:
         before = _operation_count(circuit)
         all_stats: List[RewriteStats] = []
         iterations = 0
@@ -181,16 +226,25 @@ def default_pipeline() -> PassPipeline:
     return PassPipeline([LightConePass(), FusionPass(), CommutationPass()])
 
 
+#: The pipeline ``optimize=True`` / ``"auto"`` selects, shared so that its
+#: memoized results serve every submission in the process.
+_DEFAULT_PIPELINE: Optional[PassPipeline] = None
+
+
 def resolve_pipeline(optimize: OptimizeSpec) -> Optional[PassPipeline]:
     """Normalize an ``optimize=`` keyword value to a pipeline (or ``None``).
 
     ``None``/``False`` disable optimization; ``True`` and ``"auto"`` select
-    :func:`default_pipeline`; a :class:`PassPipeline` passes through.
+    one shared :func:`default_pipeline` instance (do not modify it); a
+    :class:`PassPipeline` passes through.
     """
+    global _DEFAULT_PIPELINE
     if optimize is None or optimize is False:
         return None
     if optimize is True or optimize == "auto":
-        return default_pipeline()
+        if _DEFAULT_PIPELINE is None:
+            _DEFAULT_PIPELINE = default_pipeline()
+        return _DEFAULT_PIPELINE
     if isinstance(optimize, PassPipeline):
         return optimize
     raise ValueError(

@@ -20,6 +20,11 @@ A QAOA ansatz carrying symbols, the same ansatz resolved at twenty different
 parameter points, and a structurally identical circuit built from scratch all
 map to one key — the compile-once/sweep-many contract of the paper.
 
+A variational loop also re-submits the *same* circuit many times, so
+:func:`canonicalize_circuit` memoizes its result by the circuit's exact
+content (:func:`_circuit_content_key`); ``docs/caching.md`` §1 states the
+rules.
+
 Lifting a concrete angle to a symbol is always *correct* (the generic
 structure evaluates exactly at every binding) but can be mildly *pessimal*
 at degenerate values: ``Rx(0)`` compiles to the identity's tiny structure
@@ -39,13 +44,15 @@ from .circuit import Circuit, Moment
 from .gates import (
     ControlledGate,
     Gate,
+    MatrixGate,
     MeasurementGate,
     Operation,
     PermutationGate,
+    _ConstantGate,
     _RotationGate,
 )
-from .noise import NoiseOperation
-from .parameters import ParameterValue, ParamResolver, Symbol, resolve
+from .noise import NoiseChannel, NoiseOperation
+from .parameters import ParameterExpression, ParameterValue, ParamResolver, Symbol, resolve
 from .qubits import Qubit
 
 #: Bump when the canonical description or compiled on-disk format changes, so
@@ -162,6 +169,119 @@ def _noise_signature(operation: NoiseOperation) -> Tuple:
     return ("noise", type(channel).__name__, kraus.shape, np.round(kraus, _ROUND_DIGITS).tobytes())
 
 
+# ---------------------------------------------------------------------------
+# Exact circuit content, the key of the front-end memos.
+# ---------------------------------------------------------------------------
+#: Canonical forms by ``(content, qubit order, initial bits)``; the value is
+#: ``(template, bindings, topology_key, check)``.  Cleared wholesale past
+#: ``_CANONICAL_MEMO_MAX`` entries, and by
+#: :func:`repro.knowledge.cache.configure_default`.
+_CANONICAL_MEMO: Dict[tuple, tuple] = {}
+_CANONICAL_MEMO_MAX = 128
+
+#: Gate classes whose unitary is the stored ``_matrix`` itself.
+_STORED_MATRIX_GATES = (MatrixGate, _ConstantGate)
+
+
+def _value_token(value: ParameterValue) -> Optional[Tuple]:
+    """An exact, immutable token of a parameter value, or ``None``.
+
+    Numbers key by type and value, and a zero by its sign as well
+    (``0.0 == -0.0``, but their unitaries differ in sign bits).  Symbols and
+    affine expressions key by their names and exact coefficients, copied out
+    so that a later in-place edit of the expression cannot reach the key.
+    """
+    if isinstance(value, (float, int)):
+        return (type(value), value) if value else (type(value), str(value))
+    if isinstance(value, Symbol):
+        return (type(value), value.name)
+    if isinstance(value, ParameterExpression):
+        tokens = [(symbol.name, _value_token(c)) for symbol, c in value._sorted_terms()]
+        tokens.append(("", _value_token(value.offset)))
+        if any(token is None for _, token in tokens):
+            return None
+        return (type(value), tuple(tokens))
+    return None
+
+
+def _gate_content(gate: Gate) -> Optional[Tuple]:
+    """Everything about ``gate`` that a rewrite or canonical form can observe."""
+    if type(gate) in _STORED_MATRIX_GATES:
+        # Read the stored matrix instead of copying it through unitary().
+        matrix = gate._matrix  # type: ignore[attr-defined]
+        return (type(gate), gate._name, matrix.shape, matrix.dtype, matrix.tobytes())
+    if isinstance(gate, _RotationGate):
+        angle = _value_token(gate.angle)
+        return None if angle is None else (type(gate), gate._name, angle)
+    if isinstance(gate, ControlledGate):
+        inner = _gate_content(gate.sub_gate)
+        return None if inner is None else (type(gate), gate._name, inner)
+    if isinstance(gate, MeasurementGate):
+        return (type(gate), gate.num_qubits, gate.key)
+    if isinstance(gate, PermutationGate):
+        phases = np.asarray(gate.phases, dtype=complex).tobytes()
+        return (type(gate), gate._name, gate.num_qubits, tuple(gate.permutation), phases)
+    if gate.is_parameterized:
+        return None
+    matrix = np.asarray(gate.unitary(None))
+    return (type(gate), gate._name, matrix.shape, matrix.dtype, matrix.tobytes())
+
+
+def _noise_content(channel: NoiseChannel) -> Optional[Tuple]:
+    """A concrete channel's exact Kraus bytes (``None`` for symbolic noise).
+
+    The repr carries the channel's own parameters (``p`` rather than
+    ``sqrt(p / 3)``), which two channels can differ in at the last bit while
+    their Kraus operators round to the same bytes.
+    """
+    if channel.is_parameterized:
+        return None
+    kraus = np.asarray(channel.kraus_operators(None), dtype=complex)
+    return (type(channel), channel.name, repr(channel), kraus.shape, kraus.tobytes())
+
+
+def _circuit_content_key(circuit: Circuit) -> Optional[Tuple]:
+    """The exact content of ``circuit``, or ``None`` when it cannot be keyed.
+
+    One tuple per moment, holding a ``gate content, qubits`` pair of entries
+    per operation.  Every value is exact: numbers compare by value, matrices
+    and Kraus operators by their bytes, and qubits by their identifiers.
+    Nothing keys by object identity or by a rounded value, so a gate mutated
+    in place gives a different key.  Symbolic noise and parameterized gates
+    of unknown classes give ``None``.
+    """
+    moments = []
+    for moment in circuit.moments:
+        entries: List = []
+        for operation in moment.operations:
+            if isinstance(operation, NoiseOperation):
+                content = _noise_content(operation.channel)
+            else:
+                content = _gate_content(operation.gate)
+            if content is None:
+                return None
+            entries.append(content)
+            entries.append(tuple(operation.qubits))
+        moments.append(tuple(entries))
+    return tuple(moments)
+
+
+def _canonical_check(
+    template: Circuit, bindings: Sequence[Tuple[str, ParameterValue]]
+) -> Optional[Tuple]:
+    """The content a stored canonical form must still have to be reused.
+
+    A template shares operations, and its bindings share angle objects, with
+    the circuit that first filled the memo entry; this key changes if any of
+    them is mutated afterwards.
+    """
+    template_key = _circuit_content_key(template)
+    tokens = tuple((name, _value_token(value)) for name, value in bindings)
+    if template_key is None or any(token is None for _, token in tokens):
+        return None
+    return template_key, tokens
+
+
 def bind_canonical_parameters(
     bindings: Sequence[Tuple[str, ParameterValue]],
     resolver: Optional[ParamResolver],
@@ -271,17 +391,42 @@ def canonicalize_circuit(
     Returns
     -------
     CanonicalCircuit
-        Template + bindings + key; see the class docstring.
+        Template + bindings + key; see the class docstring.  A circuit whose
+        exact content was canonicalized before, under the same qubit order
+        and initial bits, gets the memoized template, bindings and key.
     """
-    qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
+    order = list(qubit_order) if qubit_order is not None else None
+    bits = tuple(int(b) for b in initial_bits) if initial_bits is not None else None
+    content = _circuit_content_key(circuit)
+    key = None
+    if content is not None:
+        key = (content, None if order is None else tuple(order), bits)
+        entry = _CANONICAL_MEMO.get(key)
+        if entry is not None:
+            template, bindings, topology_key, check = entry
+            if _canonical_check(template, bindings) == check:
+                return CanonicalCircuit(circuit, template, list(bindings), topology_key)
+    canonical = _canonical_form(circuit, order, bits)
+    if key is not None:
+        check = _canonical_check(canonical.template, canonical.bindings)
+        if check is not None:
+            if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_MAX:
+                _CANONICAL_MEMO.clear()
+            _CANONICAL_MEMO[key] = (
+                canonical.template, tuple(canonical.bindings), canonical.topology_key, check
+            )
+    return canonical
+
+
+def _canonical_form(
+    circuit: Circuit, qubit_order: Optional[List[Qubit]], initial_bits: Optional[Tuple[int, ...]]
+) -> CanonicalCircuit:
+    """The unmemoized body of :func:`canonicalize_circuit`."""
+    qubits = qubit_order if qubit_order is not None else circuit.all_qubits()
     position_of: Dict[Qubit, int] = {qubit: index for index, qubit in enumerate(qubits)}
     alloc = _SymbolAllocator()
 
-    description: List = [
-        TOPOLOGY_FORMAT_VERSION,
-        len(qubits),
-        tuple(int(b) for b in initial_bits) if initial_bits is not None else None,
-    ]
+    description: List = [TOPOLOGY_FORMAT_VERSION, len(qubits), initial_bits]
     template = Circuit()
     for moment in circuit.moments:
         new_operations: List[Operation] = []

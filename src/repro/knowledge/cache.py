@@ -33,6 +33,9 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
+from ..circuits import topology
+from ..circuits.passes import base as passes_base
+
 #: Environment variable naming the disk-cache directory for the default cache.
 CACHE_DIR_ENV = "REPRO_COMPILE_CACHE_DIR"
 
@@ -219,8 +222,15 @@ def default_cache() -> CompiledCircuitCache:
 def configure_default(
     directory: Optional[str] = None, max_entries: int = 32
 ) -> CompiledCircuitCache:
-    """Replace the process-wide default cache and return the new instance."""
+    """Replace the process-wide default cache and return the new instance.
+
+    Also empties the front end's exact-content memos (canonical forms and
+    rewrite-pipeline results), so a fresh configuration pays every rewrite,
+    canonicalization and compile again.
+    """
     global _default_cache
     with _default_lock:
+        topology._CANONICAL_MEMO.clear()
+        passes_base._PIPELINE_MEMO.clear()
         _default_cache = CompiledCircuitCache(max_entries=max_entries, directory=directory)
         return _default_cache

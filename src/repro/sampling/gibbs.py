@@ -549,5 +549,4 @@ class GibbsSampler:
             recorded.append(states[:, :num_final].copy())
         self._ensemble = (states, weights)
         stacked = np.concatenate(recorded, axis=0)[:num_samples]
-        samples = list(map(tuple, stacked.tolist()))
-        return SampleResult(self.compiled.qubits, samples)
+        return SampleResult(self.compiled.qubits, stacked)

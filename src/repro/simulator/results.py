@@ -25,8 +25,19 @@ class SampleResult:
     """A collection of measurement samples over a fixed qubit order."""
 
     def __init__(self, qubits: Sequence[Qubit], samples: Iterable[Tuple[int, ...]]):
+        """``samples`` is an iterable of bit rows, or a 2-D integer array of them."""
         self.qubits = list(qubits)
-        self.samples: List[Tuple[int, ...]] = [tuple(int(b) for b in s) for s in samples]
+        if (
+            isinstance(samples, np.ndarray)
+            and samples.ndim == 2
+            and np.issubdtype(samples.dtype, np.integer)
+        ):
+            # A bit matrix converts in one call; tolist() yields Python ints.
+            if samples.shape[1] != len(self.qubits):
+                raise ValueError("sample length does not match number of qubits")
+            self.samples: List[Tuple[int, ...]] = list(map(tuple, samples.tolist()))
+            return
+        self.samples = [tuple(int(b) for b in s) for s in samples]
         for sample in self.samples:
             if len(sample) != len(self.qubits):
                 raise ValueError("sample length does not match number of qubits")

@@ -85,7 +85,7 @@ class StabilizerResult:
     def sample(self, repetitions: int, rng: Optional[np.random.Generator] = None) -> SampleResult:
         rng = rng or np.random.default_rng()
         bits = self.tableau.sample(repetitions, rng)
-        return SampleResult(self.qubits, [tuple(row) for row in bits])
+        return SampleResult(self.qubits, bits)
 
     def measure(
         self,
@@ -196,7 +196,7 @@ class StabilizerSimulator(Simulator):
         if program.num_channels == 0:
             tableau = self._run(program, initial_state, choices=None)
             bits = tableau.sample(repetitions, rng)
-            return SampleResult(qubits, [tuple(row) for row in bits])
+            return SampleResult(qubits, bits)
         choices = self._draw_noise_choices(program, repetitions, rng)
         samples: List[Optional[Tuple[int, ...]]] = [None] * repetitions
         patterns, inverse = np.unique(choices, axis=0, return_inverse=True)
