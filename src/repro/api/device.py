@@ -10,11 +10,12 @@ bespoke harnesses:
   before any work runs;
 * **batched submission** — ``run()`` accepts one circuit, a list of
   circuits, or a sweep spec (one circuit times many parameter points).
-  Work items are grouped by ``circuit_topology_key`` so one knowledge
-  compile serves every rebinding of a topology, and ideal Clifford items
-  that share a resolved circuit share one tableau run;
+  Knowledge-compilation items are grouped by ``circuit_topology_key`` so
+  one knowledge compile serves every rebinding of a topology; other items
+  group by circuit object, and ideal Clifford items that share a resolved
+  circuit share one tableau run;
 * **async jobs** — ``run()`` validates its arguments once into a
-  :class:`RunRequest`, plans the (backend, topology) groups and makes one
+  :class:`RunRequest`, plans the backend groups and makes one
   :func:`~repro.api.scheduler.submit` call; ``block=False`` or ``jobs > 1``
   fans the groups out over worker processes.  The
   :class:`~repro.api.scheduler.Job` handle exposes ``status()`` /
@@ -167,10 +168,14 @@ _MANIFEST_FIELDS = (
 
 @dataclass
 class _Group:
-    """One plan entry: the items routed to ``backend`` that share ``topology``."""
+    """One plan entry: the items routed to ``backend`` that share a key.
+
+    Knowledge-compilation groups share ``topology`` (one compile serves
+    them all); other groups share one circuit object and leave it ``None``.
+    """
 
     backend: str
-    topology: str
+    topology: Optional[str]
     circuits: List[Circuit] = field(default_factory=list)
     items: List[WorkItem] = field(default_factory=list)
     positions: Dict[int, int] = field(default_factory=dict)
@@ -956,17 +961,19 @@ class Device:
     def _plan(
         self, items, request: RunRequest, skip: Dict[int, Dict]
     ) -> Tuple[List[_Group], List[ItemFailure]]:
-        """Route every item not in ``skip`` and group by (backend, topology).
+        """Route every item not in ``skip`` and group it per backend.
 
-        One compile per distinct topology, one classification and
-        canonicalization per distinct circuit object.  Pre-dispatch
+        One compile per distinct topology, one classification per distinct
+        circuit object.  Only knowledge-compilation items are canonicalized
+        (their topology picks the shared compile); every other backend
+        groups by circuit object.  Pre-dispatch
         rejections (capability or memory-budget violations) become per-item
         failure records under ``on_error="partial"`` instead of failing the
         whole submission.
         """
         prefailures: List[ItemFailure] = []
         topology_of: Dict[int, str] = {}
-        groups: Dict[Tuple[str, str], _Group] = {}
+        groups: Dict[Tuple[str, object], _Group] = {}
         for index, (circuit, resolver) in enumerate(items):
             if index in skip:
                 continue
@@ -985,15 +992,19 @@ class Device:
                     prefailures.append(ItemFailure((index,), error, 1))
                     continue
                 raise
-            topology = topology_of.get(id(circuit))
-            if topology is None:
-                topology = canonicalize_circuit(
-                    circuit, qubit_order=request.qubit_order, initial_bits=request.initial_bits
-                ).topology_key
-                topology_of[id(circuit)] = topology
-            group = groups.get((decision.backend, topology))
+            if decision.backend == KC_BACKEND:
+                topology = topology_of.get(id(circuit))
+                if topology is None:
+                    topology = canonicalize_circuit(
+                        circuit, qubit_order=request.qubit_order, initial_bits=request.initial_bits
+                    ).topology_key
+                    topology_of[id(circuit)] = topology
+                key: Tuple[str, object] = (KC_BACKEND, topology)
+            else:
+                topology, key = None, (decision.backend, id(circuit))
+            group = groups.get(key)
             if group is None:
-                group = groups[(decision.backend, topology)] = _Group(decision.backend, topology)
+                group = groups[key] = _Group(decision.backend, topology)
             group.add(index, circuit, resolver, decision.reason)
         return list(groups.values()), prefailures
 

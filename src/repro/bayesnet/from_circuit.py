@@ -23,6 +23,10 @@ Encoding rules
 * **Noise channels** — a parentless branch-selector node of cardinality
   equal to the number of Kraus operators, plus a new qubit node whose table
   conditioned on (input, branch) holds the Kraus operator entries.
+
+Every gate and noise table is a :class:`GatherTable`: each entry is either a
+constant (0 or 1) or one entry of the operation's unitary or Kraus stack, so
+binding a parameter point is one fancy-index into the bound matrix.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Operation, is_monomial_matrix, monomial_action
+from ..circuits.gates import _ATOL, Operation, is_monomial_matrix, monomial_action
 from ..circuits.noise import NoiseOperation
 from ..circuits.parameters import ParamResolver
 from ..circuits.qubits import Qubit
-from ..linalg.tensor_ops import index_to_bits
 from .network import BayesianNetwork, BayesNode
 
 
@@ -98,6 +101,64 @@ def _deterministic_initial_table(bit: int) -> np.ndarray:
 def _make_builder(function):
     """Tiny helper so closures capture loop variables by value."""
     return function
+
+
+class GatherTable:
+    """A conditional amplitude table gathered from its operation's matrix.
+
+    Table slot ``s`` (C order over the table's shape) holds entry
+    ``slots[s]`` of the flattened matrix source — ``op.unitary()`` or the
+    stacked ``op.kraus_operators()`` — or ``constants[s]`` where
+    ``slots[s] == -1``.  Monomial gates also carry ``monomial_support``,
+    the flat matrix entries that must be the only non-zeros of the bound
+    matrix (the reference permutation the network's structure encodes);
+    any other binding raises ``ValueError``.
+    """
+
+    def __init__(
+        self,
+        op: Operation,
+        kraus: bool,
+        shape: Tuple[int, ...],
+        slots: np.ndarray,
+        constants: np.ndarray,
+        monomial_support: Optional[np.ndarray] = None,
+    ):
+        self.op = op
+        self.kraus = kraus
+        self.shape = shape
+        self.slots = slots
+        self.constants = constants
+        self.monomial_support = monomial_support
+
+    @property
+    def matrix_size(self) -> int:
+        """Number of entries in the flattened matrix source."""
+        return self.slots.size if self.kraus else 4 ** len(self.op.qubits)
+
+    def matrix(self, resolver: Optional[ParamResolver]) -> np.ndarray:
+        """The operation's bound matrix (or Kraus stack), flattened."""
+        if self.kraus:
+            return np.asarray(self.op.kraus_operators(resolver), dtype=complex).ravel()
+        return np.asarray(self.op.unitary(resolver), dtype=complex).ravel()
+
+    def __call__(self, resolver: Optional[ParamResolver]) -> np.ndarray:
+        flat = self.matrix(resolver)
+        if self.monomial_support is not None:
+            require_monomial(flat, self.monomial_support)
+        table = self.constants.copy()
+        gathered = self.slots >= 0
+        table[gathered] = flat[self.slots[gathered]]
+        return table.reshape(self.shape)
+
+
+def require_monomial(entries: np.ndarray, support: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``entries`` are non-zero exactly on ``support``."""
+    nonzero = np.abs(entries) > _ATOL
+    if np.count_nonzero(nonzero) != support.size or not nonzero[support].all():
+        raise ValueError(
+            "bound matrix is not monomial with the gate's reference permutation"
+        )
 
 
 def circuit_to_bayesnet(
@@ -182,17 +243,16 @@ def _add_monomial_gate(
     position_of: Dict[Qubit, int],
 ) -> None:
     k = len(op.qubits)
+    dim = 2 ** k
     input_nodes = [current_node[q] for q in op.qubits]
     # Determine, from the permutation structure, which qubit positions can change.
     # Use an unparameterized reference unitary: the zero pattern of a
     # structurally monomial gate does not depend on its parameters.
     reference = op.unitary(_reference_resolver(op))
-    perm, _ = monomial_action(reference)
-    changed_positions = [
-        j
-        for j in range(k)
-        if any(index_to_bits(perm[i], k)[j] != index_to_bits(i, k)[j] for i in range(2 ** k))
-    ]
+    perm = np.asarray(monomial_action(reference)[0], dtype=np.int64)
+    inputs = np.arange(dim)
+    flipped = perm ^ inputs
+    changed_positions = [j for j in range(k) if np.any((flipped >> (k - 1 - j)) & 1)]
     if not changed_positions:
         # Diagonal gate: introduce a copy node on the last qubit to carry the phase.
         changed_positions = [k - 1]
@@ -202,29 +262,28 @@ def _add_monomial_gate(
         qubit = op.qubits[j]
         new_nodes[j] = _next_name(qubit, op_counter, position_of)
 
+    # Table slot (input, output bit j) is live only where output bit j is
+    # bit j of perm[input]; there it holds the phase u[perm[i], i] on the
+    # phase-carrying node and 1 elsewhere.
+    support = perm * dim + inputs
     phase_position = changed_positions[-1]
     for j in changed_positions:
         qubit = op.qubits[j]
         name = new_nodes[j]
-        carries_phase = j == phase_position
-
-        def build_table(resolver, op=op, j=j, k=k, carries_phase=carries_phase):
-            unitary = op.unitary(resolver)
-            perm_local, phases = monomial_action(unitary)
-            shape = (2,) * k + (2,)
-            table = np.zeros(shape, dtype=complex)
-            for input_index in range(2 ** k):
-                in_bits = index_to_bits(input_index, k)
-                out_bits = index_to_bits(perm_local[input_index], k)
-                amplitude = phases[input_index] if carries_phase else 1.0
-                table[in_bits + (out_bits[j],)] = amplitude
-            return table
-
+        live = inputs * 2 + ((perm >> (k - 1 - j)) & 1)
+        slots = np.full(2 * dim, -1, dtype=np.int64)
+        constants = np.zeros(2 * dim, dtype=complex)
+        if j == phase_position:
+            slots[live] = support
+        else:
+            constants[live] = 1.0
         node = BayesNode(
             name,
             cardinality=2,
             parents=list(input_nodes),
-            table_builder=build_table,
+            table_builder=GatherTable(
+                op, False, (2,) * (k + 1), slots, constants, monomial_support=support
+            ),
             kind="qubit",
             parameters=op.parameters,
             label=f"{op.gate.name} on {qubit}",
@@ -241,6 +300,7 @@ def _add_general_gate(
     position_of: Dict[Qubit, int],
 ) -> None:
     k = len(op.qubits)
+    dim = 2 ** k
     input_nodes = [current_node[q] for q in op.qubits]
     new_names: List[str] = []
     for qubit in op.qubits:
@@ -261,24 +321,17 @@ def _add_general_gate(
         current_node[qubit] = new_names[j]
 
     # The last output node carries the full unitary entry, conditioned on the
-    # gate's input nodes followed by the sibling output nodes.
-    def build_table(resolver, op=op, k=k):
-        unitary = op.unitary(resolver)
-        shape = (2,) * k + (2,) * (k - 1) + (2,)
-        table = np.zeros(shape, dtype=complex)
-        for input_index in range(2 ** k):
-            in_bits = index_to_bits(input_index, k)
-            for output_index in range(2 ** k):
-                out_bits = index_to_bits(output_index, k)
-                table[in_bits + out_bits[:-1] + (out_bits[-1],)] = unitary[output_index, input_index]
-        return table
-
+    # gate's input nodes followed by the sibling output nodes: its table is
+    # ``unitary.T`` (slot ``input * dim + output`` holds ``u[output, input]``).
+    slots = np.arange(dim * dim, dtype=np.int64).reshape(dim, dim).T.ravel()
     last_qubit = op.qubits[k - 1]
     node = BayesNode(
         new_names[k - 1],
         cardinality=2,
         parents=list(input_nodes) + new_names[: k - 1],
-        table_builder=build_table,
+        table_builder=GatherTable(
+            op, False, (2,) * (2 * k), slots, np.zeros(dim * dim, dtype=complex)
+        ),
         kind="qubit",
         parameters=op.parameters,
         label=f"{op.gate.name} output {k - 1} on {last_qubit}",
@@ -316,20 +369,17 @@ def _add_noise_operation(
     network.add_node(rv_node)
     network.noise_node_names.append(rv_name)
 
-    def build_table(resolver, op=op, m=num_branches):
-        operators = op.kraus_operators(resolver)
-        table = np.zeros((2, m, 2), dtype=complex)
-        for branch, kraus in enumerate(operators):
-            for in_bit in range(2):
-                for out_bit in range(2):
-                    table[in_bit, branch, out_bit] = kraus[out_bit, in_bit]
-        return table
-
+    # table[input, branch, output] = kraus[branch][output, input]: the Kraus
+    # stack transposed (2, 0, 1).
+    size = 4 * num_branches
+    slots = np.arange(size, dtype=np.int64).reshape(num_branches, 2, 2).transpose(2, 0, 1).ravel()
     state_node = BayesNode(
         state_name,
         cardinality=2,
         parents=[input_node, rv_name],
-        table_builder=build_table,
+        table_builder=GatherTable(
+            op, True, (2, num_branches, 2), slots, np.zeros(size, dtype=complex)
+        ),
         kind="qubit",
         parameters=op.parameters,
         label=f"{op.channel.name} on {qubit}",

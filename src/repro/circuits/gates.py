@@ -352,7 +352,9 @@ class ZZ(_RotationGate):
         theta = self._resolved_angle(resolver)
         minus = cmath.exp(-1j * theta / 2)
         plus = cmath.exp(1j * theta / 2)
-        return np.diag([minus, plus, plus, minus]).astype(complex)
+        return np.array(
+            [[minus, 0, 0, 0], [0, plus, 0, 0], [0, 0, plus, 0], [0, 0, 0, minus]], dtype=complex
+        )
 
     def _structurally_monomial(self) -> bool:
         return True

@@ -47,6 +47,9 @@ class LineQubit(Qubit):
     def _comparison_key(self) -> Tuple:
         return ("line", self.index)
 
+    def __reduce__(self):
+        return (type(self), (self.index,))
+
     def __repr__(self) -> str:
         return f"LineQubit({self.index})"
 
@@ -72,6 +75,9 @@ class GridQubit(Qubit):
     def _comparison_key(self) -> Tuple:
         return ("grid", self.row, self.col)
 
+    def __reduce__(self):
+        return (type(self), (self.row, self.col))
+
     def __repr__(self) -> str:
         return f"GridQubit({self.row}, {self.col})"
 
@@ -92,6 +98,9 @@ class NamedQubit(Qubit):
 
     def _comparison_key(self) -> Tuple:
         return ("named", self.name)
+
+    def __reduce__(self):
+        return (type(self), (self.name,))
 
     def __repr__(self) -> str:
         return f"NamedQubit({self.name!r})"

@@ -31,6 +31,7 @@ from ..bayesnet.network import (
     BayesianNetwork,
     BayesNode,
 )
+from ..bayesnet.from_circuit import GatherTable, require_monomial
 from ..circuits.parameters import ParamResolver
 from .formula import CNF
 from .simplify import unit_propagate_cnf
@@ -54,84 +55,121 @@ class WeightReference:
         return f"WeightReference({self.node_name!r}, {self.entry_index})"
 
 
+def _concatenate(arrays: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+
+
 class WeightEmitter:
     """Vectorized literal-weight emission for one :class:`CNFEncoding`.
 
-    Re-binding parameters is the per-query hot path of a compile-once sweep:
-    every sweep point evaluates each node's conditional amplitude table once
-    and scatters entries into the weight-variable slots.  The emitter
-    precomputes, per table-contributing node, the flat entry indices and the
-    destination positions (into the sorted weight-variable order), so one
-    :meth:`emit` call is a table evaluation plus two fancy-indexed gathers —
-    no per-entry Python loop and no intermediate dict.
+    Re-binding parameters is the per-query hot path of a compile-once sweep.
+    Every CPT entry of a circuit-built network is a constant or one entry of
+    its operation's matrix (:class:`~repro.bayesnet.from_circuit.GatherTable`),
+    so the emitter composes "weight slot <- table slot <- matrix entry" once:
+
+    * unparameterized nodes are evaluated here, once, into a base weight
+      vector;
+    * parameterized nodes contribute one ``(dest, src)`` index pair over the
+      concatenated flat matrices of the distinct parameterized operations.
+
+    One :meth:`emit` call then evaluates each parameterized operation's
+    matrix once, runs one vectorized monomial check, and does one
+    fancy-indexed scatter into a copy of the base vector.
 
     Built lazily by :meth:`CNFEncoding.weight_emitter` and cached there.
+
+    Raises
+    ------
+    TypeError
+        If a parameterized node's table builder is not a ``GatherTable``.
     """
 
     def __init__(self, encoding: "CNFEncoding"):
-        self._network = encoding.network
+        network = encoding.network
         order = encoding.weight_variables
         position_of = {variable: index for index, variable in enumerate(order)}
         self.num_weights = len(order)
 
-        # (node, flat table indices, destination positions) per node with at
-        # least one free weight variable.
-        by_node: Dict[str, Tuple[List[int], List[int]]] = {}
-        # Forced-true weight variables multiply into the constant factor.
-        forced_by_node: Dict[str, List[int]] = {}
-        shapes: Dict[str, Tuple[int, ...]] = {}
-
-        def flat_index(reference: WeightReference) -> int:
-            shape = shapes.get(reference.node_name)
-            if shape is None:
-                node = self._network.node(reference.node_name)
-                shape = node.expected_shape(self._network)
-                shapes[reference.node_name] = shape
-            return int(np.ravel_multi_index(reference.entry_index, shape))
-
-        # Every weight variable gets a value slot (matching :meth:`weights`,
-        # including variables fixed by unit propagation); forced-true ones
-        # additionally multiply into the constant factor.
+        # Flat table index and weight position of every weight variable,
+        # grouped by node in first-appearance order.
+        by_node: Dict[str, List[Tuple[int, int]]] = {}
         for variable, reference in sorted(encoding.weight_refs.items()):
-            if variable in encoding.forced_literals:
-                forced_by_node.setdefault(reference.node_name, []).append(flat_index(reference))
-            flats, destinations = by_node.setdefault(reference.node_name, ([], []))
-            flats.append(flat_index(reference))
-            destinations.append(position_of[variable])
+            node = network.node(reference.node_name)
+            flat = int(np.ravel_multi_index(reference.entry_index, node.expected_shape(network)))
+            by_node.setdefault(node.name, []).append((flat, position_of[variable]))
+        # Weight variables forced true multiply into the constant factor.  A
+        # node has at most one (only one of its rows can be forced), so
+        # variable order is node order.
+        self._forced = np.array(
+            [position_of[v] for v in order if v in encoding.forced_literals], dtype=np.int64
+        )
 
-        self._plans: List[Tuple[str, np.ndarray, np.ndarray]] = [
-            (name, np.asarray(flats, dtype=np.int64), np.asarray(destinations, dtype=np.int64))
-            for name, (flats, destinations) in by_node.items()
-        ]
-        self._forced_plans: List[Tuple[str, np.ndarray]] = [
-            (name, np.asarray(flats, dtype=np.int64)) for name, flats in forced_by_node.items()
-        ]
+        for node in network.nodes:
+            if node.is_parameterized and not isinstance(node.table_builder, GatherTable):
+                raise TypeError(
+                    f"parameterized node {node.name!r} needs a GatherTable builder, "
+                    f"got {type(node.table_builder).__name__}"
+                )
+
+        base = np.zeros(self.num_weights, dtype=complex)
+        # Distinct parameterized operations, each at an offset into the
+        # concatenated flat matrices; monomial ones add their whole matrix
+        # to the checked region and their reference permutation to its
+        # required support.
+        self._sources: List[GatherTable] = []
+        offset_of: Dict[int, int] = {}
+        size = 0
+        dest: List[np.ndarray] = []
+        src: List[np.ndarray] = []
+        regions: List[np.ndarray] = []
+        supports: List[np.ndarray] = []
+        for name, entries in by_node.items():
+            node = network.node(name)
+            flats, positions = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+            if not node.is_parameterized:
+                base[positions] = np.ascontiguousarray(node.table(None)).ravel()[flats]
+                continue
+            builder = node.table_builder
+            offset = offset_of.get(id(builder.op))
+            if offset is None:
+                offset = offset_of[id(builder.op)] = size
+                self._sources.append(builder)
+                size += builder.matrix_size
+                if builder.monomial_support is not None:
+                    regions.append(np.arange(offset, size))
+                    supports.append(builder.monomial_support + offset)
+            slots = builder.slots[flats]
+            gathered = slots >= 0
+            base[positions[~gathered]] = builder.constants[flats[~gathered]]
+            dest.append(positions[gathered])
+            src.append(slots[gathered] + offset)
+        self._dest = _concatenate(dest)
+        self._src = _concatenate(src)
+        self._monomial_region = _concatenate(regions)
+        self._monomial_support = np.searchsorted(self._monomial_region, _concatenate(supports))
+        self._base = base
 
     def emit(self, resolver: Optional[ParamResolver] = None) -> Tuple[np.ndarray, complex]:
         """Return ``(values, constant_factor)`` under ``resolver``.
 
         ``values`` is aligned with :attr:`CNFEncoding.weight_variables`;
         ``constant_factor`` is the product of weights forced true by CNF
-        simplification.  Each contributing table is evaluated exactly once.
+        simplification.  Each parameterized operation's matrix is evaluated
+        exactly once.
 
-        Raises whatever the underlying table builders raise for unbound
-        symbols (``KeyError``/``ValueError``).
+        Raises whatever the operations raise for unbound symbols
+        (``KeyError``/``ValueError``), and ``ValueError`` when a monomial
+        gate's bound matrix is not monomial with its reference permutation.
         """
-        values = np.empty(self.num_weights, dtype=complex)
-        tables: Dict[str, np.ndarray] = {}
-
-        def table_of(name: str) -> np.ndarray:
-            table = tables.get(name)
-            if table is None:
-                table = np.ascontiguousarray(self._network.node(name).table(resolver))
-                tables[name] = table
-            return table
-
-        for name, flats, destinations in self._plans:
-            values[destinations] = table_of(name).ravel()[flats]
+        values = self._base.copy()
+        if self._sources:
+            flat = np.concatenate([source.matrix(resolver) for source in self._sources])
+            if self._monomial_region.size:
+                require_monomial(flat[self._monomial_region], self._monomial_support)
+            values[self._dest] = flat[self._src]
         constant = 1.0 + 0j
-        for name, flats in self._forced_plans:
-            constant *= complex(np.prod(table_of(name).ravel()[flats]))
+        for value in values[self._forced]:
+            constant *= complex(value)
         return values, constant
 
 

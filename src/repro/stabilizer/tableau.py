@@ -72,6 +72,7 @@ class Tableau:
             raise ValueError("Tableau needs at least one qubit")
         self.n = n
         self.table = np.zeros((2 * n, 2 * n + 1), dtype=bool)
+        self._support_memo: Optional[Tuple[bytes, np.ndarray, np.ndarray]] = None
         rows = np.arange(n)
         self.x[rows, rows] = True            # destabilizer i = X_i
         self.z[n + rows, rows] = True        # stabilizer i = Z_i
@@ -103,6 +104,7 @@ class Tableau:
         duplicate = Tableau.__new__(Tableau)
         duplicate.n = self.n
         duplicate.table = self.table.copy()
+        duplicate._support_memo = self._support_memo
         return duplicate
 
     # -- Clifford gates as column updates ----------------------------------
@@ -269,9 +271,20 @@ class Tableau:
         Returns ``(x0, basis)``: one support bitstring (uint8, shape ``(n,)``)
         and a GF(2) basis (uint8, shape ``(k, n)``) such that the outcome
         distribution is uniform over ``{x0 (+) c.B : c in GF(2)^k}``.
+
+        Memoized by the exact bytes of :attr:`table`, so any gate or
+        measurement since the last call recomputes it.  The returned arrays
+        are read-only.
         """
+        key = self.table.tobytes()
+        memo = self._support_memo
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
         x0 = self.copy().measure_all(forced=0)
         basis = gf2_row_basis(self.x[self.n :, :])
+        x0.flags.writeable = False
+        basis.flags.writeable = False
+        self._support_memo = (key, x0, basis)
         return x0, basis
 
     def sample(self, repetitions: int, rng: np.random.Generator) -> np.ndarray:

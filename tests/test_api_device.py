@@ -11,6 +11,7 @@ Clifford/universal/noisy batch of >= 100 circuits
   samples, in fact, thanks to the ``seed + index`` fan-out).
 """
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,60 @@ class TestTopologyGrouping:
             resolved = ansatz.resolve_parameters(ParamResolver(point))
             reference = StateVectorSimulator().simulate(resolved).probabilities()
             assert np.max(np.abs(row["probabilities"] - reference)) < 1e-10
+
+
+    def test_plan_canonicalizes_only_knowledge_compilation_items(self, monkeypatch):
+        device_module = importlib.import_module("repro.api.device")
+
+        q = LineQubit.range(3)
+        cliffords = [_clifford(), _clifford()]
+        theta = Symbol("theta")
+        ansatz = Circuit([H(q[0]), Rx(theta)(q[1]), CNOT(q[0], q[1]), Rz(theta)(q[2])])
+        batch = [cliffords[0], ansatz, cliffords[1], ansatz, cliffords[0]]
+        params = [None, {"theta": 0.3}, None, {"theta": 0.7}, None]
+        kwargs = dict(observables=["samples", "probabilities"], repetitions=16, seed=4)
+        # Reference rows from per-backend devices, with the same item seeds.
+        kc_rows = device("knowledge_compilation", seed=0).run(batch, params, **kwargs).result()
+
+        canonicalized = []
+        original = device_module.canonicalize_circuit
+
+        def counting(circuit, **options):
+            canonicalized.append(circuit)
+            return original(circuit, **options)
+
+        plans = []
+        plan = Device._plan
+
+        def recording_plan(self, *args):
+            plans.append(plan(self, *args))
+            return plans[-1]
+
+        monkeypatch.setattr(device_module, "canonicalize_circuit", counting)
+        monkeypatch.setattr(Device, "_plan", recording_plan)
+        result = device("auto", fallback="knowledge_compilation", seed=0).run(
+            batch, params, **kwargs
+        ).result()
+        assert canonicalized and all(circuit is ansatz for circuit in canonicalized)
+        (groups, _), = plans
+        stabilizer = [group for group in groups if group.backend == "stabilizer"]
+        assert [group.circuits for group in stabilizer] == [[cliffords[0]], [cliffords[1]]]
+        assert all(group.topology is None for group in stabilizer)
+        (kc,) = [group for group in groups if group.backend == "knowledge_compilation"]
+        assert kc.topology is not None and [item[0] for item in kc.items] == [1, 3]
+        assert result.backends() == [
+            "stabilizer", "knowledge_compilation", "stabilizer", "knowledge_compilation",
+            "stabilizer",
+        ]
+        for index, row in enumerate(result):
+            if params[index] is None:
+                legacy = StabilizerSimulator().simulate(batch[index])
+                sampled = legacy.sample(16, np.random.default_rng(4 + index)).samples
+                assert row["samples"].samples == sampled
+                np.testing.assert_array_equal(row["probabilities"], legacy.probabilities())
+            else:
+                assert row["samples"].samples == kc_rows[index]["samples"].samples
+                np.testing.assert_array_equal(row["probabilities"], kc_rows[index]["probabilities"])
 
 
 class TestCapabilityRegistry:

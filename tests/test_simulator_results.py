@@ -1,9 +1,11 @@
 """Tests for the shared simulator result containers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.circuits import LineQubit
+from repro.circuits import GridQubit, LineQubit, NamedQubit
 from repro.simulator import DensityMatrixResult, SampleResult, StateVectorResult
 
 
@@ -35,6 +37,24 @@ class TestSampleResult:
         result = SampleResult(LineQubit.range(1), [])
         with pytest.raises(ValueError):
             result.expectation_of_bit(0)
+
+
+    @pytest.mark.parametrize(
+        "qubits, samples",
+        [
+            (LineQubit.range(3), np.array([[0, 1, 1], [1, 0, 0], [0, 1, 1]])),
+            (LineQubit.range(3), [(0, 1, 1), (1, 1, 0)]),
+            (LineQubit.range(1), np.array([[300], [-1]])),
+            (LineQubit.range(2), np.zeros((0, 2), dtype=np.int64)),
+            ([GridQubit(0, 1), NamedQubit("anc")], np.array([[1, 0]], dtype=np.uint8)),
+        ],
+    )
+    def test_pickle_round_trip(self, qubits, samples):
+        result = SampleResult(qubits, samples)
+        restored = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored.samples == result.samples
+        assert restored.qubits == result.qubits
+        assert [type(q) for q in restored.qubits] == [type(q) for q in result.qubits]
 
 
 class TestStateVectorResult:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.circuits import CNOT, CZ, Circuit, H, LineQubit, S, T, X, measure
 from repro.circuits.noise import amplitude_damp, bit_flip, depolarize
+from repro.algorithms import random_clifford_circuit
 from repro.stabilizer import StabilizerSimulator, Tableau, gf2_row_basis
+from repro.stabilizer import tableau as tableau_module
 from repro.statevector import StateVectorSimulator
 
 
@@ -252,3 +254,48 @@ class TestTableauInternals:
     def test_unknown_primitive_rejected(self):
         with pytest.raises(ValueError, match="unknown stabilizer primitive"):
             Tableau(1).apply("T", (0,))
+
+
+class TestSupportMemo:
+    """``Tableau.support()`` runs once per final state, keyed by the table bytes."""
+
+    def test_probabilities_then_sample_equals_fresh_results(self):
+        circuit = random_clifford_circuit(8, 10, seed=5).circuit
+        simulator = StabilizerSimulator()
+        used = simulator.simulate(circuit)
+        probabilities = used.probabilities()
+        samples = used.sample(64, np.random.default_rng(9)).samples
+        np.testing.assert_array_equal(probabilities, simulator.simulate(circuit).probabilities())
+        fresh = simulator.simulate(circuit).sample(64, np.random.default_rng(9)).samples
+        assert samples == fresh
+
+    def test_support_is_computed_once_per_state(self, ghz3, monkeypatch):
+        calls = []
+        original = tableau_module.gf2_row_basis
+
+        def counting(rows):
+            calls.append(1)
+            return original(rows)
+
+        monkeypatch.setattr(tableau_module, "gf2_row_basis", counting)
+        result = StabilizerSimulator().simulate(ghz3)
+        result.probabilities()
+        result.sample(10, np.random.default_rng(0))
+        result.tableau.state_vector()
+        assert len(calls) == 1
+
+    def test_measure_invalidates_the_memo(self, ghz3):
+        result = StabilizerSimulator().simulate(ghz3)
+        np.testing.assert_allclose(result.probabilities()[[0, 7]], [0.5, 0.5])
+        outcome, deterministic = result.measure(0, forced=1)
+        assert (outcome, deterministic) == (1, False)
+        np.testing.assert_array_equal(result.probabilities(), np.eye(8)[7])
+        samples = result.sample(5, np.random.default_rng(0)).samples
+        assert all(bits == (1, 1, 1) for bits in samples)
+
+    def test_gate_after_support_invalidates_the_memo(self):
+        tableau = Tableau(2)
+        x0, basis = tableau.support()
+        assert basis.shape[0] == 0 and not x0.flags.writeable
+        tableau.h(1)
+        assert tableau.support()[1].shape[0] == 1
