@@ -27,11 +27,12 @@ import time
 
 import numpy as np
 
+from repro.api.device import Device
 from repro.bench import emit_bench
 from repro.circuits import Circuit, measure
 from repro.circuits.gates import _RotationGate
+from repro.circuits.passes import default_pipeline
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
-from repro.simulator.sweep import ParameterSweep
 from repro.variational import QAOACircuit, random_regular_maxcut
 
 NUM_QUBITS = 8
@@ -97,6 +98,14 @@ class TestLightConeCompileSize:
         }
 
 
+def _compile_and_sweep(circuit, points):
+    """One knowledge compile of ``circuit``, then every point against it."""
+    simulator = KnowledgeCompilationSimulator(cache=None)
+    dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
+    compiled = dev.ensure_compiled(circuit)
+    return compiled, dev.run(circuit, params=points, sampling="gibbs").result().rows
+
+
 class TestFusionSweepTime:
     def test_split_rotation_sweep_speeds_up(self, bench_output_dir):
         ansatz = _qaoa(iterations=1)
@@ -108,21 +117,18 @@ class TestFusionSweepTime:
         ]
 
         start = time.perf_counter()
-        plain_sweep = ParameterSweep(split, KnowledgeCompilationSimulator(cache=None))
-        plain_rows = plain_sweep.run(points).rows
+        plain_compiled, plain_rows = _compile_and_sweep(split, points)
         plain_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        optimized_sweep = ParameterSweep(
-            split, KnowledgeCompilationSimulator(cache=None), optimize="auto"
-        )
-        optimized_rows = optimized_sweep.run(points).rows
+        optimization = default_pipeline().run(split)
+        optimized_compiled, optimized_rows = _compile_and_sweep(optimization.circuit, points)
         optimized_seconds = time.perf_counter() - start
 
-        stats = optimized_sweep.last_optimization
-        assert stats is not None and stats.removed > 0
-        plain_metrics = plain_sweep.compiled.compilation_metrics()
-        optimized_metrics = optimized_sweep.compiled.compilation_metrics()
+        stats = optimization.stats
+        assert stats.removed > 0
+        plain_metrics = plain_compiled.compilation_metrics()
+        optimized_metrics = optimized_compiled.compilation_metrics()
         assert optimized_metrics["gates"] < plain_metrics["gates"]
         assert optimized_metrics["ac_nodes"] < plain_metrics["ac_nodes"]
 

@@ -9,8 +9,8 @@ circuit blows up in structure long before memory).  The tableau pays
 ``O(n^2)`` bits of state and ``O(n)`` work per gate, so the whole run is
 milliseconds.
 
-A second benchmark measures hybrid-dispatch overhead: the classification
-pass must be a negligible fraction of a dense sampling run.
+A second benchmark measures the routing overhead of ``device("auto")``: the
+classification pass must be a negligible fraction of a dense sampling run.
 """
 
 import time
@@ -18,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro import device
 from repro.algorithms import ghz_circuit, random_clifford_circuit
-from repro.simulator.hybrid import HybridSimulator
 from repro.stabilizer import StabilizerSimulator
 from repro.statevector import StateVectorSimulator
 
@@ -52,11 +52,12 @@ class TestFiftyQubitBudget:
 
     def test_hybrid_dispatch_reaches_the_same_scale(self, wide_clifford_instance):
         """The dispatcher, not just the raw backend, must survive 56 qubits."""
-        simulator = HybridSimulator(seed=7)
+        dev = device("auto", seed=7)
+        circuit = wide_clifford_instance.circuit
         start = time.perf_counter()
-        simulator.sample(wide_clifford_instance.circuit, NUM_SAMPLES, seed=7)
+        dev.sample(circuit, NUM_SAMPLES, seed=7)
         elapsed = time.perf_counter() - start
-        assert simulator.last_decision.backend == "stabilizer"
+        assert dev.decide(circuit, repetitions=NUM_SAMPLES).backend == "stabilizer"
         assert elapsed < WALL_CLOCK_BUDGET_SECONDS
 
     def test_hundred_qubit_ghz_smoke(self):
@@ -83,7 +84,7 @@ class TestThroughput:
         from repro.algorithms import random_circuit
 
         circuit = random_circuit(10, 8, seed=5).circuit
-        hybrid = HybridSimulator(seed=7)
+        hybrid = device("auto", seed=7)
         dense = StateVectorSimulator(seed=7)
 
         start = time.perf_counter()
@@ -93,7 +94,7 @@ class TestThroughput:
         start = time.perf_counter()
         hybrid.sample(circuit, NUM_SAMPLES, seed=7)
         hybrid_elapsed = time.perf_counter() - start
-        assert hybrid.last_decision.backend == "state_vector"
+        assert hybrid.decide(circuit, repetitions=NUM_SAMPLES).backend == "state_vector"
         # Dispatch adds classification only; allow generous slack for timer noise.
         assert hybrid_elapsed < dense_elapsed * 2.0 + 0.05
 

@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.circuits import ParamResolver
+from repro.api.device import Device
 from repro.knowledge.cache import CompiledCircuitCache
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
-from repro.simulator.sweep import ParameterSweep, resolver_zip
 from repro.variational import QAOACircuit, random_regular_maxcut
 
 NUM_QUBITS = 6
@@ -47,10 +46,21 @@ def _per_point_recompile(ansatz, sweep_points):
     return np.stack(outputs)
 
 
-def _compile_once_sweep(ansatz, sweep_points):
+def _kc_device():
     simulator = KnowledgeCompilationSimulator(seed=1, cache=CompiledCircuitCache())
-    sweep = ParameterSweep(ansatz.circuit, simulator)
-    return sweep.run(sweep_points, observables=["probabilities"]).probabilities()
+    return Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
+
+
+def _run_sweep(dev, ansatz, sweep_points):
+    return dev.run(
+        ansatz.circuit, params=sweep_points, observables=["probabilities"], sampling="gibbs"
+    ).result()
+
+
+def _compile_once_sweep(ansatz, sweep_points):
+    dev = _kc_device()
+    dev.ensure_compiled(ansatz.circuit)
+    return _run_sweep(dev, ansatz, sweep_points).probabilities()
 
 
 class TestSweepSpeedup:
@@ -73,16 +83,13 @@ class TestSweepSpeedup:
 
 class TestSweepThroughput:
     def test_benchmark_sweep(self, benchmark, ansatz, sweep_points):
-        simulator = KnowledgeCompilationSimulator(seed=1, cache=CompiledCircuitCache())
-        sweep = ParameterSweep(ansatz.circuit, simulator)  # compile outside the timer
+        dev = _kc_device()
+        compiled = dev.ensure_compiled(ansatz.circuit)  # compile outside the timer
 
-        def run_sweep():
-            return sweep.run(sweep_points, observables=["probabilities"])
-
-        result = benchmark(run_sweep)
+        result = benchmark(lambda: _run_sweep(dev, ansatz, sweep_points))
         benchmark.extra_info["points"] = NUM_POINTS
         benchmark.extra_info["qubits"] = NUM_QUBITS
-        benchmark.extra_info["ac_nodes"] = sweep.compiled.arithmetic_circuit.num_nodes
+        benchmark.extra_info["ac_nodes"] = compiled.arithmetic_circuit.num_nodes
         assert len(result) == NUM_POINTS
         totals = result.probabilities().sum(axis=1)
         assert np.allclose(totals, 1.0, atol=1e-9)

@@ -22,9 +22,10 @@ import time
 import numpy as np
 
 from repro import (
+    Device,
     KnowledgeCompilationSimulator,
-    ParameterSweep,
     circuit_topology_key,
+    default_pipeline,
     optimize_circuit,
 )
 from repro.circuits import Circuit
@@ -43,6 +44,14 @@ def split_rotations(circuit: Circuit) -> Circuit:
         else:
             lowered.append(operation)
     return lowered
+
+
+def compile_and_sweep(circuit: Circuit, points):
+    """Compile ``circuit`` once, then evaluate every point against it."""
+    simulator = KnowledgeCompilationSimulator(cache=None)
+    dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
+    compiled = dev.ensure_compiled(circuit)
+    return compiled, dev.run(circuit, params=points, sampling="gibbs").result().rows
 
 
 def main() -> None:
@@ -65,25 +74,21 @@ def main() -> None:
     ]
 
     start = time.perf_counter()
-    plain = ParameterSweep(lowered, KnowledgeCompilationSimulator(cache=None))
-    plain_rows = plain.run(points).rows
+    plain, plain_rows = compile_and_sweep(lowered, points)
     plain_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    optimized = ParameterSweep(
-        lowered, KnowledgeCompilationSimulator(cache=None), optimize="auto"
-    )
-    optimized_rows = optimized.run(points).rows
+    optimization = default_pipeline().run(lowered)
+    optimized, optimized_rows = compile_and_sweep(optimization.circuit, points)
     optimized_seconds = time.perf_counter() - start
 
-    stats = optimized.last_optimization
-    assert stats is not None
+    stats = optimization.stats
     print("\nRewrite statistics (optimize='auto'):")
     for line in stats.summary().splitlines():
         print(f"  {line}")
 
-    print(f"\nCompile size: {plain.compiled.arithmetic_circuit.num_nodes} AC nodes off, "
-          f"{optimized.compiled.arithmetic_circuit.num_nodes} on")
+    print(f"\nCompile size: {plain.arithmetic_circuit.num_nodes} AC nodes off, "
+          f"{optimized.arithmetic_circuit.num_nodes} on")
     print(f"Sweep time:   {plain_seconds:.3f}s off, {optimized_seconds:.3f}s on "
           f"({plain_seconds / max(optimized_seconds, 1e-9):.2f}x)")
 

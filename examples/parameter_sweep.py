@@ -15,12 +15,7 @@ import time
 
 import numpy as np
 
-from repro import (
-    CompiledCircuitCache,
-    KnowledgeCompilationSimulator,
-    ParameterSweep,
-    resolver_zip,
-)
+from repro import CompiledCircuitCache, Device, KnowledgeCompilationSimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
 
 
@@ -34,16 +29,17 @@ def main() -> None:
           f"{ansatz.circuit.gate_count()} gates, {ansatz.num_parameters} parameters")
 
     # ------------------------------------------------------------------
-    # 2. Build the sweep engine.  The constructor compiles the topology once
-    #    (through the simulator's compiled-circuit cache).
+    # 2. A knowledge-compilation device over our own simulator.  Compile
+    #    the topology once, up front (through the simulator's cache).
     # ------------------------------------------------------------------
     cache = CompiledCircuitCache()
     simulator = KnowledgeCompilationSimulator(seed=11, cache=cache)
+    dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
     start = time.perf_counter()
-    sweep = ParameterSweep(ansatz.circuit, simulator)
+    compiled = dev.ensure_compiled(ansatz.circuit)
     compile_seconds = time.perf_counter() - start
     print(f"Compiled once in {compile_seconds:.3f}s "
-          f"({sweep.compiled.arithmetic_circuit.num_nodes} AC nodes)")
+          f"({compiled.arithmetic_circuit.num_nodes} AC nodes)")
 
     # ------------------------------------------------------------------
     # 3. Sweep 25 (gamma, beta) points.  Every point is a weight re-binding
@@ -51,16 +47,18 @@ def main() -> None:
     # ------------------------------------------------------------------
     gammas = np.linspace(0.1, 1.3, 25)
     betas = np.linspace(1.2, 0.2, 25)
-    points = resolver_zip({"gamma0": gammas, "beta0": betas})
+    points = [{"gamma0": g, "beta0": b} for g, b in zip(gammas, betas)]
 
     start = time.perf_counter()
-    result = sweep.run(
-        points,
+    result = dev.run(
+        ansatz.circuit,
+        params=points,
         observables=["probabilities", "expectation"],
         objective=ansatz.objective_from_distribution,
         repetitions=200,   # also draw Gibbs samples per point
         seed=3,
-    )
+        sampling="gibbs",
+    ).result()
     sweep_seconds = time.perf_counter() - start
     print(f"Swept {len(result)} points in {sweep_seconds:.3f}s "
           f"({1e3 * sweep_seconds / len(result):.1f} ms/point)")
@@ -86,7 +84,15 @@ def main() -> None:
     #    persisted to disk and each worker hydrates it (identical results,
     #    deterministic seeding).
     # ------------------------------------------------------------------
-    parallel = sweep.run(points, observables=["probabilities"], repetitions=200, seed=3, jobs=2)
+    parallel = dev.run(
+        ansatz.circuit,
+        params=points,
+        observables=["probabilities"],
+        repetitions=200,
+        seed=3,
+        jobs=2,
+        sampling="gibbs",
+    ).result()
     identical = np.array_equal(parallel.probabilities(), result.probabilities())
     print(f"Parallel sweep matches serial exactly: {identical}")
 

@@ -94,6 +94,7 @@ from .api import (
     register_backend,
     resume_job,
 )
+from .api.routing import BackendDecision, select_backend
 from .circuits.clifford import classify_circuit, is_clifford, is_pauli_noise
 from .circuits.topology import canonicalize_circuit, circuit_topology_key
 from .densitymatrix import DensityMatrixSimulator
@@ -114,9 +115,7 @@ from .errors import (
 )
 from .knowledge.cache import CompiledCircuitCache, configure_default, default_cache
 from .simulator import DensityMatrixResult, SampleResult, Simulator, StateVectorResult
-from .simulator.hybrid import BackendDecision, HybridSimulator, select_backend
 from .simulator.kc_simulator import CompiledCircuit, KnowledgeCompilationSimulator
-from .simulator.sweep import ParameterSweep, SweepResult, resolver_grid, resolver_zip
 from .stabilizer import StabilizerResult, StabilizerSimulator
 from .statevector import StateVectorSimulator
 from .tensornetwork import TensorNetworkSimulator
@@ -158,7 +157,6 @@ __all__ = [
     "TrajectorySimulator",
     "StabilizerSimulator",
     "StabilizerResult",
-    "HybridSimulator",
     "BackendDecision",
     "select_backend",
     "classify_circuit",
@@ -183,10 +181,6 @@ __all__ = [
     "default_pipeline",
     "optimize_circuit",
     "split_clifford_prefix",
-    "ParameterSweep",
-    "SweepResult",
-    "resolver_grid",
-    "resolver_zip",
     "device",
     "Device",
     "Job",

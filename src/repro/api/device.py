@@ -24,9 +24,8 @@ bespoke harnesses:
   batch are bit-identical.
 
 The per-item result *rows* are plain dicts (see
-:class:`~repro.api.results.BatchResult`); the legacy ``ParameterSweep``,
-``HybridSimulator`` and ``VariationalLoop`` surfaces are now thin layers
-over this module.
+:class:`~repro.api.results.BatchResult`); ``VariationalLoop`` is a thin
+layer over this module.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _assemble_batch(sorted_rows: List[Tuple[int, Dict]]) -> BatchResult:
     """Job ``assemble`` hook: item rows (already index-sorted) to a BatchResult."""
     return BatchResult([row for _, row in sorted_rows])
 
-#: Observables one work item can record (same vocabulary as ParameterSweep).
+#: Observables one work item can record.
 OBSERVABLES = ("probabilities", "state_vector", "samples", "expectation")
 
 #: Exact (amplitude-based) sampling on the compiled arithmetic circuit needs
@@ -496,7 +495,7 @@ class Device:
     Parameters
     ----------
     backend:
-        A registered backend name, or ``"auto"`` (alias ``"hybrid"``) for
+        A registered backend name, or ``"auto"`` for
         per-item routing by the classification rules of
         :func:`~repro.api.routing.select_backend`.
     seed:
@@ -507,8 +506,9 @@ class Device:
         defaults to ``"density_matrix"`` when ``fallback`` is defaulted and
         to ``fallback`` itself otherwise (mixed-state queries need it).
     instances:
-        Pre-built backend instances to use instead of fresh registry
-        creations (how the legacy shims wrap their existing simulators).
+        Pre-built backend instances, keyed by backend name, to use instead
+        of fresh registry creations (for example a
+        ``KnowledgeCompilationSimulator`` with its own cache settings).
     backend_options:
         Extra constructor keywords for backends this device creates,
         keyed by backend name.
@@ -542,7 +542,7 @@ class Device:
         #: Per-distinct-circuit rewrite stats from the most recent
         #: ``run(optimize=...)`` call (``None`` when optimization was off).
         self.last_optimization: Optional[Tuple[PipelineStats, ...]] = None
-        if backend in ("auto", "hybrid"):
+        if backend == "auto":
             self.backend = "auto"
         else:
             self.backend = self._resolve(backend)
@@ -607,23 +607,6 @@ class Device:
         else:
             self._kc_masters.move_to_end(topology)
         return master
-
-    def compiled_master(
-        self,
-        circuit: Circuit,
-        qubit_order: Optional[Sequence[Qubit]] = None,
-        initial_bits: Optional[Sequence[int]] = None,
-    ):
-        """The device's memoized compile for ``circuit``'s topology, rebound to it.
-
-        Returns ``None`` when no run has compiled that topology yet.
-        """
-        order = list(qubit_order) if qubit_order is not None else None
-        canonical = canonicalize_circuit(circuit, qubit_order=order, initial_bits=initial_bits)
-        master = self._kc_masters.get(canonical.topology_key)
-        if master is None:
-            return None
-        return master.rebound_for(circuit, canonical.bindings, order)
 
     def ensure_compiled(
         self,
@@ -1098,7 +1081,7 @@ def device(
     """
     options: Optional[Dict[str, Dict]] = None
     if backend_options:
-        if backend in ("auto", "hybrid"):
+        if backend == "auto":
             raise BackendCapabilityError(
                 "backend options require a fixed backend name, not 'auto'"
             )

@@ -26,8 +26,7 @@ class BatchResult:
     """Per-item results of one :meth:`repro.api.device.Device.run` batch.
 
     List-like over rows (dicts, in item order); the accessors below stack
-    per-item observables the way :class:`~repro.simulator.sweep.SweepResult`
-    always has.
+    per-item observables across the batch.
     """
 
     def __init__(self, rows: List[Dict[str, Any]]):

@@ -1,8 +1,7 @@
 """The one routing function of the code base: :func:`select_backend`.
 
 ``Device.decide``, ``Device.simulate``, ``Device.sample`` and the
-``Device.run`` planner each make one call to it per item, and
-``HybridSimulator`` and ``ParameterSweep`` route through a ``Device``.
+``Device.run`` planner each make one call to it per item.
 Every decision is a :class:`BackendDecision`, so callers can assert *why*
 an item went where it did.
 

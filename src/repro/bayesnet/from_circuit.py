@@ -392,9 +392,13 @@ def _reference_resolver(op: Operation) -> Optional[ParamResolver]:
     """A resolver binding any free symbols of ``op`` to an arbitrary reference value.
 
     Only used where the *structure* (zero pattern) of the operation matters,
-    which for structurally monomial gates is parameter independent.
+    which for structurally monomial gates is parameter independent.  The
+    value lies in the structure-probe range of
+    :meth:`~repro.bayesnet.network.BayesianNetwork.probe_resolvers`, which
+    every channel accepts (three symbolic Pauli probabilities still sum
+    below 1).
     """
     symbols = op.parameters
     if not symbols:
         return None
-    return ParamResolver({s: 0.789 for s in symbols})
+    return ParamResolver({s: 0.2 for s in symbols})

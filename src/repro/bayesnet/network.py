@@ -165,7 +165,10 @@ class BayesianNetwork:
         For unparameterized networks a single ``None`` resolver suffices; for
         parameterized networks several random parameter bindings are probed
         so that entries that are *accidentally* zero or one at a single
-        binding are not misclassified.
+        binding are not misclassified.  Values are drawn from ``[0.05, 0.3)``:
+        generic for every rotation (no entry lands on 0 or +-1) and accepted
+        by every channel, even three symbolic Pauli probabilities that must
+        sum to at most 1.
         """
         symbols = self.parameters
         if not symbols:
@@ -173,7 +176,7 @@ class BayesianNetwork:
         rng = np.random.default_rng(seed)
         resolvers: List[Optional[ParamResolver]] = []
         for _ in range(count):
-            assignment = {s: float(rng.uniform(0.1, 2.9)) for s in symbols}
+            assignment = {s: float(rng.uniform(0.05, 0.3)) for s in symbols}
             resolvers.append(ParamResolver(assignment))
         return resolvers
 

@@ -33,7 +33,7 @@ layer that makes automatic dispatch possible:
   depolarizing) — the class the stabilizer backend can unravel
   stochastically;
 * :func:`classify_circuit` rolls both up into the dispatch decision
-  consumed by :class:`repro.simulator.hybrid.HybridSimulator`.
+  consumed by :func:`repro.api.routing.select_backend`.
 """
 
 from __future__ import annotations

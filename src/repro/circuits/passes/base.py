@@ -216,8 +216,8 @@ def default_pipeline() -> PassPipeline:
     rotation angle values, so optimized symbolic ansätze and their resolved
     instances keep sharing one topology key.  Clifford-prefix extraction is
     deliberately *not* here: whether a rotation is Clifford depends on its
-    bound angle, so it runs at routing time (see
-    :class:`repro.simulator.hybrid.HybridSimulator`), not at compile time.
+    bound angle, so routing (:func:`repro.api.routing.select_backend`)
+    classifies the bound circuit instead.
     """
     from .commutation import CommutationPass
     from .fusion import FusionPass

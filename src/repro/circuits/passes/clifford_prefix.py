@@ -67,8 +67,8 @@ class CliffordPrefixPass(Pass):
     The rewrite is a pure reordering (no operation is added, removed or
     changed); the rewrite count is the number of operations that moved
     earlier relative to the original order.  Useful standalone when a caller
-    wants the split reflected in the circuit itself; the hybrid router calls
-    :func:`split_clifford_prefix` directly and keeps the two halves apart.
+    wants the split reflected in the circuit itself; a caller that keeps the
+    two halves apart calls :func:`split_clifford_prefix` directly.
     """
 
     name = "clifford_prefix"

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..simulator.hybrid import HybridSimulator
+from ..api.device import device
 from ..simulator.kc_simulator import KnowledgeCompilationSimulator
 from ..statevector import StateVectorSimulator
 from ..tensornetwork import TensorNetworkSimulator
@@ -92,12 +92,12 @@ def run(
             # The dispatcher route: QAOA/VQE angles are generically
             # non-Clifford, so this measures classification overhead plus the
             # fallback backend; the routed backend is reported per row.
-            simulator = HybridSimulator(seed=seed)
+            dev = device("auto", seed=seed)
             _, elapsed = time_callable(
-                lambda: simulator.sample(resolved_circuit, num_samples, seed=seed)
+                lambda: dev.sample(resolved_circuit, num_samples, seed=seed)
             )
             row["hybrid_seconds"] = round(elapsed, 4)
-            row["hybrid_route"] = simulator.last_decision.backend
+            row["hybrid_route"] = dev.decide(resolved_circuit, repetitions=num_samples).backend
         if "tensor_network" in backends:
             simulator = TensorNetworkSimulator(seed=seed)
             capped = min(num_samples, tensor_network_sample_cap)

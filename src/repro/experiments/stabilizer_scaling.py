@@ -6,9 +6,9 @@ none of them reach 50+ qubits on generic circuits.  The Clifford workloads
 of the validation suite — GHZ preparation, hidden shift, the Clifford
 skeleton of random circuit sampling — are ``O(poly(n))`` on the stabilizer
 tableau, and this experiment demonstrates the scaling: time to draw
-``num_samples`` measurement records as the qubit count grows, through the
-:class:`~repro.simulator.hybrid.HybridSimulator` so the per-circuit routing
-decision is part of what is measured.
+``num_samples`` measurement records as the qubit count grows, through
+``repro.device("auto")`` so the per-circuit routing decision is part of
+what is measured.
 
 At qubit counts where the dense baseline is still feasible the state-vector
 time is reported alongside for reference.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..algorithms import ghz_circuit, hidden_shift_circuit, random_clifford_circuit
-from ..simulator.hybrid import HybridSimulator
+from ..api.device import device
 from ..statevector import StateVectorSimulator
 from .common import ExperimentResult, time_callable
 
@@ -53,16 +53,16 @@ def run(
             if workload == "hidden_shift" and num_qubits % 2:
                 num_qubits += 1
             instance = _instance(workload, num_qubits, seed)
-            simulator = HybridSimulator(seed=seed)
+            dev = device("auto", seed=seed)
             _, elapsed = time_callable(
-                lambda: simulator.sample(instance.circuit, num_samples, seed=seed)
+                lambda: dev.sample(instance.circuit, num_samples, seed=seed)
             )
             row: Dict = {
                 "workload": workload,
                 "qubits": num_qubits,
                 "gates": instance.circuit.gate_count(),
                 "samples": num_samples,
-                "routed_backend": simulator.last_decision.backend,
+                "routed_backend": dev.decide(instance.circuit, repetitions=num_samples).backend,
                 "hybrid_seconds": round(elapsed, 4),
             }
             if num_qubits <= DENSE_REFERENCE_CAP:

@@ -9,27 +9,16 @@ packages (:mod:`repro.statevector`, :mod:`repro.densitymatrix`,
 ``sample`` with identical circuit, resolver, qubit-order, initial-state
 and seeding semantics.
 
-:mod:`repro.simulator.sweep` builds the compile-once parameter-sweep engine
-on top of the knowledge-compilation backend's topology cache, and
-:mod:`repro.simulator.hybrid` routes Clifford circuits to the polynomial-cost
-stabilizer backend (:mod:`repro.stabilizer`) automatically.
+Parameter sweeps and automatic stabilizer-vs-dense routing run through
+the execution API: ``repro.device("auto")`` (see :mod:`repro.api`).
 """
 
 from .base import Simulator
-from .hybrid import BackendDecision, HybridSimulator, select_backend
 from .results import DensityMatrixResult, SampleResult, StateVectorResult
-from .sweep import ParameterSweep, SweepResult, resolver_grid, resolver_zip
 
 __all__ = [
     "Simulator",
     "SampleResult",
     "StateVectorResult",
     "DensityMatrixResult",
-    "BackendDecision",
-    "HybridSimulator",
-    "select_backend",
-    "ParameterSweep",
-    "SweepResult",
-    "resolver_grid",
-    "resolver_zip",
 ]

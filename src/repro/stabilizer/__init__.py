@@ -4,7 +4,7 @@ See :mod:`repro.stabilizer.tableau` for the Aaronson–Gottesman
 representation and :mod:`repro.stabilizer.simulator` for the
 :class:`~repro.simulator.base.Simulator` implementation with Pauli-noise
 sampling.  Automatic routing between this backend and the dense/KC backends
-lives in :mod:`repro.simulator.hybrid`.
+is ``repro.device("auto")`` (:func:`repro.api.routing.select_backend`).
 """
 
 from .simulator import StabilizerResult, StabilizerSimulator

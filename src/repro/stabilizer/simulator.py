@@ -17,8 +17,8 @@ the tableau once and replays only measurement randomness.
 
 Non-Clifford gates and non-Pauli channels raise
 :class:`~repro.errors.UnsupportedCircuitError` with the
-blocking operation named; the :class:`~repro.simulator.hybrid.HybridSimulator`
-catches this class of circuit *before* construction via
+blocking operation named; ``repro.device("auto")`` catches this class of
+circuit *before* construction via
 :func:`repro.circuits.clifford.classify_circuit` and routes it to a dense
 backend instead.
 """

@@ -3,7 +3,7 @@
 Every builder that constructs its circuit purely from Clifford gates must
 (a) advertise it via ``metadata["clifford"]``, (b) actually classify as
 Clifford through the gate-metadata layer, and (c) be routed to the
-stabilizer tableau by the hybrid dispatcher — the acceptance contract of
+stabilizer tableau by ``device("auto")`` — the acceptance contract of
 the stabilizer backend.  Non-Clifford builders must keep routing to the
 fallback.
 """
@@ -11,6 +11,7 @@ fallback.
 import numpy as np
 import pytest
 
+from repro import device
 from repro.algorithms import (
     bell_state_circuit,
     bernstein_vazirani_circuit,
@@ -26,7 +27,6 @@ from repro.algorithms import (
     teleportation_circuit,
 )
 from repro.sampling import total_variation_distance
-from repro.simulator.hybrid import HybridSimulator
 from repro.stabilizer import StabilizerSimulator
 
 
@@ -67,15 +67,17 @@ class TestCliffordAdvertisement:
 class TestDispatchRouting:
     @pytest.mark.parametrize("instance", clifford_instances(), ids=lambda i: i.name)
     def test_every_clifford_instance_routes_to_tableau(self, instance):
-        simulator = HybridSimulator(seed=0)
-        simulator.sample(instance.circuit, 16, qubit_order=instance.qubits, seed=0)
-        assert simulator.last_decision.backend == "stabilizer"
+        rows = device("auto", seed=0).run(
+            instance.circuit, repetitions=16, qubit_order=instance.qubits, seed=0
+        ).result()
+        assert rows.backends() == ["stabilizer"]
 
     @pytest.mark.parametrize("instance", non_clifford_instances(), ids=lambda i: i.name)
     def test_non_clifford_instances_fall_back(self, instance):
-        simulator = HybridSimulator(seed=0)
-        simulator.sample(instance.circuit, 4, qubit_order=instance.qubits, seed=0)
-        assert simulator.last_decision.backend == "state_vector"
+        rows = device("auto", seed=0).run(
+            instance.circuit, repetitions=4, qubit_order=instance.qubits, seed=0
+        ).result()
+        assert rows.backends() == ["state_vector"]
 
 
 class TestStabilizerCorrectness:

@@ -3,8 +3,7 @@
 The tentpole contract: ``device("auto").run([...])`` on a mixed
 Clifford/universal/noisy batch of >= 100 circuits
 
-* routes every item to the backend ``select_backend`` (the HybridSimulator
-  rule) chooses for it,
+* routes every item to the backend ``select_backend`` chooses for it,
 * compiles each distinct topology exactly once on the knowledge-compilation
   route,
 * reproduces the per-class legacy backend results to 1e-10 (bit-identical
@@ -137,8 +136,6 @@ class TestTopologyGrouping:
         assert len(compile_calls) == 2
 
     def test_cache_disabled_sweep_compiles_once(self, monkeypatch):
-        from repro.simulator.sweep import ParameterSweep
-
         compile_calls = []
         original = KnowledgeCompiler.compile
 
@@ -149,15 +146,23 @@ class TestTopologyGrouping:
         monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
-        sweep = ParameterSweep(circuit, KnowledgeCompilationSimulator(seed=0, cache=None))
-        sweep.run([{"a": 0.3}, {"a": 0.9}], observables=["probabilities"], repetitions=5, seed=0)
-        sweep.run([{"a": 0.1}], observables=["probabilities"])
-        assert sweep.has_compiled
+        dev = Device(
+            "knowledge_compilation",
+            instances={"knowledge_compilation": KnowledgeCompilationSimulator(seed=0, cache=None)},
+        )
+        dev.ensure_compiled(circuit)
+        dev.run(
+            circuit,
+            params=[{"a": 0.3}, {"a": 0.9}],
+            observables=["probabilities"],
+            repetitions=5,
+            seed=0,
+            sampling="gibbs",
+        ).result()
+        dev.run(circuit, params=[{"a": 0.1}], observables=["probabilities"]).result()
         assert len(compile_calls) == 1
 
-    def test_auto_sweep_cache_disabled_adopts_device_compile(self, monkeypatch):
-        from repro.simulator.sweep import ParameterSweep
-
+    def test_auto_sweep_cache_disabled_compiles_once(self, monkeypatch):
         compile_calls = []
         original = KnowledgeCompiler.compile
 
@@ -168,23 +173,36 @@ class TestTopologyGrouping:
         monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
-        sweep = ParameterSweep(
-            circuit, KnowledgeCompilationSimulator(seed=0, cache=None), dispatch="auto"
+        dev = Device(
+            "auto",
+            fallback="knowledge_compilation",
+            noisy_fallback="knowledge_compilation",
+            instances={"knowledge_compilation": KnowledgeCompilationSimulator(seed=0, cache=None)},
         )
-        result = sweep.run([{"a": 0.0}, {"a": 0.37}], observables=["probabilities"])
-        assert result.backends() == ["stabilizer", "kc"]
-        assert sweep.has_compiled
+        result = dev.run(
+            circuit, params=[{"a": 0.0}, {"a": 0.37}], observables=["probabilities"]
+        ).result()
+        assert result.backends() == ["stabilizer", "knowledge_compilation"]
+        assert len(compile_calls) == 1
+        dev.run(circuit, params=[{"a": 0.9}], observables=["probabilities"]).result()
         assert len(compile_calls) == 1
 
-    def test_sweep_result_inherited_accessors(self):
-        from repro.simulator.sweep import ParameterSweep
-
+    def test_sweep_result_accessors(self):
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
-        result = ParameterSweep(circuit, KnowledgeCompilationSimulator(seed=0)).run(
-            [{"a": 0.2}, {"a": 0.8}], observables=["probabilities"], repetitions=6, seed=1
+        dev = Device(
+            "knowledge_compilation",
+            instances={"knowledge_compilation": KnowledgeCompilationSimulator(seed=0)},
         )
-        assert result.backends() == ["kc", "kc"]
+        result = dev.run(
+            circuit,
+            params=[{"a": 0.2}, {"a": 0.8}],
+            observables=["probabilities"],
+            repetitions=6,
+            seed=1,
+            sampling="gibbs",
+        ).result()
+        assert result.backends() == ["knowledge_compilation", "knowledge_compilation"]
         assert len(result.sample_results()) == 2
         assert all(len(samples) == 6 for samples in result.sample_results())
 
@@ -324,20 +342,6 @@ class TestCapabilityRegistry:
         with pytest.raises(BackendCapabilityError, match="mixed-state"):
             device("stabilizer").run(noisy, observables=["probabilities"], repetitions=10)
 
-    def test_hybrid_distinct_same_name_fallbacks_keep_their_instances(self):
-        from repro import HybridSimulator
-
-        pure = DensityMatrixSimulator(seed=1)
-        noisy_backend = DensityMatrixSimulator(seed=2)
-        simulator = HybridSimulator(fallback=pure, noisy_fallback=noisy_backend, seed=0)
-        q = LineQubit.range(2)
-        noisy = Circuit([H(q[0]), Rx(0.3)(q[1]), CNOT(q[0], q[1])]).with_noise(
-            lambda: depolarize(0.1)
-        )
-        dev = simulator.device
-        assert dev.backend_instance(dev.decide(noisy, sampling=False).backend) is noisy_backend
-        assert dev.backend_instance(dev.decide(noisy, sampling=True).backend) is pure
-
 
 class TestRunSurface:
     def test_single_circuit_and_list_and_sweep_spec(self):
@@ -386,14 +390,12 @@ class TestRunSurface:
         empirical = result.sample_results()[0].empirical_distribution()
         assert np.max(np.abs(empirical - result.probabilities()[0])) < 0.05
 
-    def test_hybrid_simulator_is_device_backed(self):
-        from repro import HybridSimulator
-
-        simulator = HybridSimulator(seed=0)
-        assert isinstance(simulator.device, Device)
+    def test_single_item_sample_routes_clifford_to_stabilizer(self):
+        dev = device("auto", seed=0)
         q = LineQubit.range(2)
-        simulator.sample(Circuit([H(q[0]), CNOT(q[0], q[1])]), 5)
-        assert simulator.last_decision.backend == "stabilizer"
+        bell = Circuit([H(q[0]), CNOT(q[0], q[1])])
+        assert len(dev.sample(bell, 5)) == 5
+        assert dev.decide(bell, repetitions=5).backend == "stabilizer"
 
 
 class TestCapableFallback:
@@ -420,7 +422,7 @@ class TestCapableFallback:
             select_backend(noisy)
 
     def test_unregistered_fallback_is_preserved(self):
-        # Attached-instance keys (HybridSimulator) bypass capability checks:
+        # Attached-instance keys (Device instances=...) bypass capability checks:
         # the caller vouches for them.
         decision = select_backend(_nonclifford(4), fallback="state_vector#custom")
         assert decision.backend == "state_vector#custom"

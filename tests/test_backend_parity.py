@@ -13,11 +13,11 @@ density-matrix simulator is exact ground truth:
 import numpy as np
 import pytest
 
+from repro import device, select_backend
 from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, T, X, amplitude_damp, depolarize, phase_damp
 from repro.circuits.noise_model import NoiseModel
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.sampling import total_variation_distance
-from repro.simulator.hybrid import HybridSimulator, select_backend
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.stabilizer import StabilizerSimulator
 from repro.statevector import StateVectorSimulator
@@ -109,7 +109,7 @@ class TestStabilizerParity:
 
 
 class TestHybridDispatch:
-    """Routing decisions are explicit and the hybrid matches whatever it routes to."""
+    """Routing decisions are explicit and device("auto") matches whatever it routes to."""
 
     def test_clifford_routes_to_tableau(self, bell_circuit):
         decision = select_backend(bell_circuit)
@@ -134,14 +134,14 @@ class TestHybridDispatch:
         assert select_backend(circuit).backend == "state_vector"
 
     def test_hybrid_matches_dense_on_mixed_suite(self, bell_circuit, qaoa_like_circuit, qaoa_resolver):
-        simulator = HybridSimulator(seed=0)
-        clifford_probs = simulator.simulate(bell_circuit).probabilities()
-        assert simulator.last_decision.backend == "stabilizer"
+        dev = device("auto", seed=0)
+        clifford_probs = dev.simulate(bell_circuit).probabilities()
+        assert dev.decide(bell_circuit, sampling=False).backend == "stabilizer"
         exact = DensityMatrixSimulator().simulate(bell_circuit).probabilities()
         np.testing.assert_allclose(clifford_probs, exact, atol=1e-10)
 
-        generic_probs = simulator.simulate(qaoa_like_circuit, qaoa_resolver).probabilities()
-        assert simulator.last_decision.backend == "state_vector"
+        generic_probs = dev.simulate(qaoa_like_circuit, qaoa_resolver).probabilities()
+        assert dev.decide(qaoa_like_circuit, qaoa_resolver, sampling=False).backend == "state_vector"
         exact = DensityMatrixSimulator().simulate(qaoa_like_circuit, qaoa_resolver).probabilities()
         np.testing.assert_allclose(generic_probs, exact, atol=1e-9)
 
@@ -149,27 +149,27 @@ class TestHybridDispatch:
         """The same symbolic ansatz routes per binding: pi/2 grid vs generic."""
         from repro.circuits import ParamResolver
 
-        simulator = HybridSimulator(seed=0)
+        dev = device("auto", seed=0)
         clifford_binding = ParamResolver({"gamma": np.pi / 4, "beta": np.pi / 4})
-        simulator.sample(qaoa_like_circuit, 8, resolver=clifford_binding, seed=0)
-        assert simulator.last_decision.backend == "stabilizer"
+        dev.sample(qaoa_like_circuit, 8, resolver=clifford_binding, seed=0)
+        assert dev.decide(qaoa_like_circuit, clifford_binding, repetitions=8).backend == "stabilizer"
         generic_binding = ParamResolver({"gamma": 0.55, "beta": 0.35})
-        simulator.sample(qaoa_like_circuit, 8, resolver=generic_binding, seed=0)
-        assert simulator.last_decision.backend == "state_vector"
+        dev.sample(qaoa_like_circuit, 8, resolver=generic_binding, seed=0)
+        assert dev.decide(qaoa_like_circuit, generic_binding, repetitions=8).backend == "state_vector"
 
     def test_hybrid_noisy_simulate_uses_mixed_state_fallback(self, noisy_bell_circuit):
         """simulate() on a noisy circuit must land on a backend that can run it."""
-        simulator = HybridSimulator(seed=0)
-        result = simulator.simulate(noisy_bell_circuit)
-        assert simulator.last_decision.backend == "density_matrix"
+        dev = device("auto", seed=0)
+        result = dev.simulate(noisy_bell_circuit)
+        assert dev.decide(noisy_bell_circuit, sampling=False).backend == "density_matrix"
         exact = DensityMatrixSimulator().simulate(noisy_bell_circuit).density_matrix
         np.testing.assert_allclose(result.density_matrix, exact, atol=1e-10)
 
     def test_hybrid_noisy_sampling_matches_density_matrix(self, noisy_bell_circuit):
-        simulator = HybridSimulator(seed=0)
+        dev = device("auto", seed=0)
         exact = DensityMatrixSimulator().simulate(noisy_bell_circuit).probabilities()
-        samples = simulator.sample(noisy_bell_circuit, 4000, seed=37)
-        assert simulator.last_decision.backend == "stabilizer"
+        samples = dev.sample(noisy_bell_circuit, 4000, seed=37)
+        assert dev.decide(noisy_bell_circuit, repetitions=4000).backend == "stabilizer"
         assert total_variation_distance(exact, samples.empirical_distribution()) < 0.05
 
 

@@ -10,10 +10,11 @@ from repro.circuits import Circuit, LineQubit, ParamResolver, Symbol
 from repro.circuits.gates import CNOT, H, Rx, Ry, Rz, X, ZZ
 from repro.circuits.noise import depolarize, phase_damp
 from repro.circuits.topology import canonicalize_circuit, circuit_topology_key
+from repro.api.device import Device
 from repro.experiments import runner
 from repro.knowledge.cache import CompiledCircuitCache
+from repro.knowledge.compiler import KnowledgeCompiler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
-from repro.simulator.sweep import ParameterSweep, resolver_grid, resolver_zip
 from repro.statevector import StateVectorSimulator
 
 
@@ -278,20 +279,42 @@ class TestDiskCache:
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
-class TestSweepEngine:
-    def test_resolver_helpers(self):
-        zipped = resolver_zip({"a": [0.1, 0.2], "b": [0.3, 0.4]})
-        assert [r.as_dict() for r in zipped] == [{"a": 0.1, "b": 0.3}, {"a": 0.2, "b": 0.4}]
-        grid = resolver_grid({"a": [0.1, 0.2], "b": [0.3]})
-        assert len(grid) == 2
-        with pytest.raises(ValueError):
-            resolver_zip({"a": [0.1], "b": [0.3, 0.4]})
+KC = "knowledge_compilation"
 
+
+def _kc_device(backend=KC, **simulator_options):
+    """A sweep device over one knowledge-compilation simulator with a fresh cache."""
+    simulator = KnowledgeCompilationSimulator(cache=CompiledCircuitCache(), **simulator_options)
+    return Device(backend, fallback=KC, noisy_fallback=KC, instances={KC: simulator})
+
+
+def _points(g_values, b_values):
+    return [ParamResolver({"g": g, "b": b}) for g, b in zip(g_values, b_values)]
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """The list of knowledge compiles performed while the test runs."""
+    calls = []
+    original = KnowledgeCompiler.compile
+
+    def counting_compile(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
+    return calls
+
+
+class TestSweepEngine:
     def test_sweep_matches_per_point_state_vectors(self):
         circuit = _ansatz_circuit(symbols=True)
-        sweep = ParameterSweep(circuit, KnowledgeCompilationSimulator(seed=2, cache=CompiledCircuitCache()))
-        points = resolver_zip({"g": np.linspace(0.1, 1.0, 5), "b": np.linspace(0.9, 0.2, 5)})
-        result = sweep.run(points, observables=["probabilities", "state_vector"])
+        points = _points(np.linspace(0.1, 1.0, 5), np.linspace(0.9, 0.2, 5))
+        result = (
+            _kc_device(seed=2)
+            .run(circuit, params=points, observables=["probabilities", "state_vector"])
+            .result()
+        )
         for row, resolver in zip(result, points):
             resolved = circuit.resolve_parameters(resolver)
             reference = StateVectorSimulator().simulate(resolved).state_vector
@@ -299,81 +322,78 @@ class TestSweepEngine:
             assert np.max(np.abs(row["probabilities"] - np.abs(reference) ** 2)) < 1e-10
 
     def test_parallel_sweep_is_deterministic(self):
-        sweep = ParameterSweep(
-            _ansatz_circuit(symbols=True),
-            KnowledgeCompilationSimulator(seed=5, cache=CompiledCircuitCache()),
+        circuit = _ansatz_circuit(symbols=True)
+        dev = _kc_device(seed=5)
+        dev.ensure_compiled(circuit)
+        points = _points(np.linspace(0.2, 1.1, 6), np.linspace(0.1, 0.8, 6))
+        options = dict(
+            params=points, observables=["probabilities"], repetitions=40, seed=17, sampling="gibbs"
         )
-        points = resolver_zip({"g": np.linspace(0.2, 1.1, 6), "b": np.linspace(0.1, 0.8, 6)})
-        serial = sweep.run(points, observables=["probabilities"], repetitions=40, seed=17)
-        parallel = sweep.run(points, observables=["probabilities"], repetitions=40, seed=17, jobs=2)
+        serial = dev.run(circuit, **options).result()
+        parallel = dev.run(circuit, jobs=2, **options).result()
         assert np.array_equal(serial.probabilities(), parallel.probabilities())
         assert serial.counts() == parallel.counts()
 
     def test_invalid_arguments(self):
-        sweep = ParameterSweep(
-            _ansatz_circuit(symbols=True),
-            KnowledgeCompilationSimulator(cache=CompiledCircuitCache()),
-        )
+        circuit = _ansatz_circuit(symbols=True)
+        dev = _kc_device()
         with pytest.raises(ValueError):
-            sweep.run([None], observables=["entanglement"])
+            dev.run(circuit, params=[None], observables=["entanglement"])
         with pytest.raises(ValueError):
-            sweep.run([None], observables=["expectation"])
+            dev.run(circuit, params=[None], observables=["expectation"])
         with pytest.raises(ValueError):
-            sweep.run([None], observables=["samples"])
-        with pytest.raises(ValueError, match="dispatch"):
-            ParameterSweep(
-                _ansatz_circuit(symbols=True),
-                KnowledgeCompilationSimulator(cache=CompiledCircuitCache()),
-                dispatch="always",
-            )
+            dev.run(circuit, params=[None], observables=["samples"])
 
 
 class TestSweepCliffordDispatch:
-    """dispatch="auto": Clifford points run on the tableau, compile is lazy."""
+    """Under "auto", Clifford points run on the tableau and the compile is lazy."""
 
-    def _sweep(self):
-        return ParameterSweep(
-            _ansatz_circuit(symbols=True),
-            KnowledgeCompilationSimulator(seed=2, cache=CompiledCircuitCache()),
-            dispatch="auto",
-        )
-
-    def test_mixed_grid_matches_dense_reference(self):
-        sweep = self._sweep()
-        assert not sweep.has_compiled
-        points = resolver_zip(
-            {"g": [0.0, np.pi / 2, 0.37, np.pi], "b": [np.pi / 2, 0.0, 0.81, np.pi / 2]}
-        )
-        result = sweep.run(points, observables=["probabilities"])
-        assert sweep.has_compiled  # the generic point forced exactly one compile
-        backends = [row.get("backend", "kc") for row in result]
-        assert backends == ["stabilizer", "stabilizer", "kc", "stabilizer"]
+    def test_mixed_grid_matches_dense_reference(self, compile_calls):
         circuit = _ansatz_circuit(symbols=True)
+        points = _points([0.0, np.pi / 2, 0.37, np.pi], [np.pi / 2, 0.0, 0.81, np.pi / 2])
+        result = (
+            _kc_device("auto", seed=2)
+            .run(circuit, params=points, observables=["probabilities"])
+            .result()
+        )
+        assert len(compile_calls) == 1  # the generic point forced exactly one compile
+        assert result.backends() == ["stabilizer", "stabilizer", KC, "stabilizer"]
         for row, resolver in zip(result, points):
             resolved = circuit.resolve_parameters(resolver)
             reference = StateVectorSimulator().simulate(resolved).probabilities()
             assert np.max(np.abs(row["probabilities"] - reference)) < 1e-9
 
-    def test_all_clifford_sweep_never_compiles(self):
-        sweep = self._sweep()
-        points = resolver_zip({"g": [0.0, np.pi], "b": [np.pi / 2, 3 * np.pi / 2]})
-        result = sweep.run(points, observables=["probabilities"], repetitions=20, seed=3)
-        assert not sweep.has_compiled
-        assert all(row["backend"] == "stabilizer" for row in result)
+    def test_all_clifford_sweep_never_compiles(self, compile_calls):
+        points = _points([0.0, np.pi], [np.pi / 2, 3 * np.pi / 2])
+        result = (
+            _kc_device("auto", seed=2)
+            .run(
+                _ansatz_circuit(symbols=True),
+                params=points,
+                observables=["probabilities"],
+                repetitions=20,
+                seed=3,
+                sampling="gibbs",
+            )
+            .result()
+        )
+        assert compile_calls == []
+        assert result.backends() == ["stabilizer", "stabilizer"]
 
     def test_parallel_auto_dispatch_matches_serial(self):
-        points = resolver_zip(
-            {"g": [0.0, 0.4, np.pi / 2, 1.1], "b": [np.pi, 0.3, 0.0, 0.9]}
+        circuit = _ansatz_circuit(symbols=True)
+        options = dict(
+            params=_points([0.0, 0.4, np.pi / 2, 1.1], [np.pi, 0.3, 0.0, 0.9]),
+            observables=["probabilities"],
+            repetitions=30,
+            seed=11,
+            sampling="gibbs",
         )
-        serial = self._sweep().run(points, observables=["probabilities"], repetitions=30, seed=11)
-        parallel = self._sweep().run(
-            points, observables=["probabilities"], repetitions=30, seed=11, jobs=2
-        )
+        serial = _kc_device("auto", seed=2).run(circuit, **options).result()
+        parallel = _kc_device("auto", seed=2).run(circuit, jobs=2, **options).result()
         assert np.array_equal(serial.probabilities(), parallel.probabilities())
         assert serial.counts() == parallel.counts()
-        assert [row.get("backend", "kc") for row in serial] == [
-            row.get("backend", "kc") for row in parallel
-        ]
+        assert serial.backends() == parallel.backends()
 
 
 def _strip_timings(results):

@@ -17,9 +17,10 @@ CI-cheap; a new backend gets fuzzed by adding one entry to
 import numpy as np
 import pytest
 
+from repro import device
+from repro.circuits.passes import default_pipeline
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.sampling import total_variation_distance
-from repro.simulator.hybrid import HybridSimulator
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.stabilizer import StabilizerSimulator
 from repro.statevector import StateVectorSimulator
@@ -53,7 +54,7 @@ def _ideal_probability_backends(num_qubits):
         "knowledge_compilation": lambda c: (
             KnowledgeCompilationSimulator(seed=0).simulate(c).probabilities()
         ),
-        "hybrid": lambda c: HybridSimulator(seed=0).simulate(c).probabilities(),
+        "hybrid": lambda c: device("auto", seed=0).simulate(c).probabilities(),
     }
     return backends
 
@@ -102,9 +103,9 @@ class TestCliffordAlphabet:
 
     def test_hybrid_routes_clifford_to_stabilizer(self, circuit_fuzzer):
         circuit = circuit_fuzzer(0, 4, 8, alphabet="clifford")
-        simulator = HybridSimulator(seed=0)
-        simulator.simulate(circuit)
-        assert simulator.last_decision.backend == "stabilizer"
+        dev = device("auto", seed=0)
+        dev.simulate(circuit)
+        assert dev.decide(circuit, sampling=False).backend == "stabilizer"
 
     def test_initial_state_parity(self, circuit_fuzzer):
         circuit = circuit_fuzzer(4, 4, 6, alphabet="clifford")
@@ -165,9 +166,9 @@ class TestCliffordPlusTAlphabet:
         circuit = circuit_fuzzer(seed, num_qubits, depth, alphabet="clifford+t")
         with pytest.raises(ValueError, match="Clifford"):
             StabilizerSimulator().simulate(circuit)
-        simulator = HybridSimulator(seed=0)
-        result = simulator.simulate(circuit)
-        assert simulator.last_decision.backend == "state_vector"
+        dev = device("auto", seed=0)
+        result = dev.simulate(circuit)
+        assert dev.decide(circuit, sampling=False).backend == "state_vector"
         exact = StateVectorSimulator().simulate(circuit).probabilities()
         np.testing.assert_allclose(result.probabilities(), exact, atol=1e-10)
 
@@ -195,10 +196,10 @@ class TestNoisyPauliAlphabet:
 
     def test_hybrid_routes_pauli_noise_sampling_to_stabilizer(self, circuit_fuzzer):
         circuit = circuit_fuzzer(0, 3, 3, alphabet="pauli-noise")
-        simulator = HybridSimulator(seed=0)
+        dev = device("auto", seed=0)
         exact = DensityMatrixSimulator().simulate(circuit).probabilities()
-        samples = simulator.sample(circuit, 4000, seed=29)
-        assert simulator.last_decision.backend == "stabilizer"
+        samples = dev.sample(circuit, 4000, seed=29)
+        assert dev.decide(circuit, repetitions=4000).backend == "stabilizer"
         assert total_variation_distance(exact, samples.empirical_distribution()) < 0.06
 
 
@@ -327,10 +328,9 @@ class TestOptimizedVsUnoptimized:
 
     def test_hybrid_prefix_split_parity(self, circuit_fuzzer):
         circuit = circuit_fuzzer(2, 3, 6, alphabet="clifford-prefix")
-        plain = HybridSimulator(seed=0)
-        split = HybridSimulator(seed=0, optimize="auto")
-        base = plain.simulate(circuit).probabilities()
-        rewritten = split.simulate(circuit).probabilities()
+        base = device("auto", seed=0).simulate(circuit).probabilities()
+        optimized = default_pipeline().run(circuit).circuit
+        rewritten = device("auto", seed=0).simulate(optimized).probabilities()
         np.testing.assert_allclose(rewritten, base, atol=1e-10)
 
 

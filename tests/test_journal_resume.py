@@ -27,7 +27,6 @@ from repro import (
     H,
     JobError,
     LineQubit,
-    ParameterSweep,
     Rx,
     Symbol,
     device,
@@ -252,14 +251,16 @@ class TestCheckpointedRuns:
         circuit = Circuit(
             [Rx(theta).on(qubits[0]), CNOT(qubits[0], qubits[1]), measure(*qubits)]
         )
-        sweep = ParameterSweep(circuit)
         points = [{"theta": value} for value in (0.1, 0.7, 1.3)]
-        result = sweep.run(
-            points, repetitions=16, seed=4, checkpoint=str(tmp_path), job_id="sweep-1"
+        options = dict(params=points, repetitions=16, seed=4, sampling="gibbs")
+        result = (
+            device("knowledge_compilation")
+            .run(circuit, checkpoint=str(tmp_path), job_id="sweep-1", **options)
+            .result()
         )
         journal = JobJournal(str(tmp_path), "sweep-1")
         assert journal.completed_indices() == {0, 1, 2}
-        clean = ParameterSweep(circuit).run(points, repetitions=16, seed=4)
+        clean = device("knowledge_compilation").run(circuit, **options).result()
         for row, clean_row in zip(result.rows, clean.rows):
             assert np.array_equal(
                 np.asarray(row["samples"].samples),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuits import (
     CNOT,
+    AsymmetricDepolarizingChannel,
     CZ,
     Circuit,
     H,
@@ -166,6 +167,30 @@ class TestNoisyCorrectness:
             rho = compiled.density_matrix(resolver)
             expected = DensityMatrixSimulator().simulate(circuit, resolver).density_matrix
             assert np.allclose(rho, expected, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "channel, bindings",
+        [
+            (amplitude_damp(Symbol("g")), [{"g": 0.2}, {"g": 0.85}]),
+            (
+                AsymmetricDepolarizingChannel(Symbol("px"), Symbol("py"), Symbol("pz")),
+                [{"px": 0.1, "py": 0.05, "pz": 0.2}, {"px": 0.3, "py": 0.25, "pz": 0.4}],
+            ),
+        ],
+        ids=["amplitude_damping", "asymmetric_depolarizing"],
+    )
+    def test_symbolic_channel_probabilities_compile(self, channel, bindings, kc_simulator):
+        """Structure probes must bind channel symbols to values the channel accepts."""
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), CNOT(q[0], q[1])])
+        circuit.append(channel.on(q[0]))
+        compiled = kc_simulator.compile_circuit(circuit)
+        for binding in bindings:
+            resolver = ParamResolver(binding)
+            expected = DensityMatrixSimulator().simulate(circuit, resolver).probabilities()
+            np.testing.assert_allclose(
+                compiled.probabilities(resolver), expected, rtol=0, atol=1e-10
+            )
 
     def test_probabilities_sum_to_one(self, noisy_bell_circuit, kc_simulator):
         compiled = kc_simulator.compile_circuit(noisy_bell_circuit)

@@ -323,14 +323,15 @@ class TestCliffordPrefix:
         ``DENSE_STATE_QUBITS`` = 14; ``optimize="auto"`` must still run the
         rewritten circuit on the routed backend.
         """
+        from repro import device
         from repro.algorithms import random_clifford_circuit
-        from repro.simulator.hybrid import HybridSimulator
         from repro.statevector import StateVectorSimulator
 
         instance = random_clifford_circuit(15, 40, seed=3)
         circuit, qubits = instance.circuit.copy(), instance.qubits
         circuit.append([T(qubit) for qubit in qubits[:4]])
-        hybrid = HybridSimulator(optimize="auto").simulate(circuit, qubit_order=qubits)
+        optimized = default_pipeline().run(circuit).circuit
+        hybrid = device("auto").simulate(optimized, qubit_order=qubits)
         reference = StateVectorSimulator().simulate(circuit, qubit_order=qubits)
         np.testing.assert_allclose(
             hybrid.probabilities(), reference.probabilities(), rtol=0, atol=1e-10
@@ -468,16 +469,16 @@ class TestRoutingAfterRewrite:
         assert classify_circuit(optimized).clifford
 
     def test_hybrid_reroutes_with_optimize(self):
-        from repro.simulator.hybrid import HybridSimulator
+        from repro import device
 
         q = LineQubit.range(2)
         circuit = Circuit([T(q[0]), CNOT(q[0], q[1]), TDG(q[0])])
-        plain = HybridSimulator(seed=0)
-        plain.simulate(circuit)
-        assert plain.last_decision.backend == "state_vector"
-        optimizing = HybridSimulator(seed=0, optimize="auto")
-        optimizing.simulate(circuit)
-        assert optimizing.last_decision.backend == "stabilizer"
+        optimized = default_pipeline().run(circuit).circuit
+        dev = device("auto", seed=0)
+        dev.simulate(circuit)
+        assert dev.decide(circuit, sampling=False).backend == "state_vector"
+        dev.simulate(optimized)
+        assert dev.decide(optimized, sampling=False).backend == "stabilizer"
 
     def test_device_routing_changes_with_optimize(self):
         import repro
@@ -659,16 +660,16 @@ class TestFrameworkSurface:
         )
 
     def test_sweep_optimize(self):
-        from repro.simulator.sweep import ParameterSweep
+        from repro import device
 
         q = LineQubit.range(2)
         a, b = Symbol("a"), Symbol("b")
         circuit = Circuit([H(q[0]), Rz(a)(q[0]), Rz(b)(q[0]), CNOT(q[0], q[1])])
-        sweep = ParameterSweep(circuit, optimize="auto")
-        assert sweep.last_optimization is not None and sweep.last_optimization.removed == 1
-        plain = ParameterSweep(circuit)
+        optimization = default_pipeline().run(circuit)
+        assert optimization.stats.removed == 1
+        dev = device("knowledge_compilation")
         points = [{"a": 0.2, "b": 0.3}, {"a": 1.4, "b": -0.5}]
-        rows = sweep.run(points).rows
-        reference = plain.run(points).rows
+        rows = dev.run(optimization.circuit, params=points).result().rows
+        reference = dev.run(circuit, params=points).result().rows
         for row, ref in zip(rows, reference):
             np.testing.assert_allclose(row["probabilities"], ref["probabilities"], atol=1e-10)

@@ -14,15 +14,21 @@ from repro import (
     CNOT,
     Circuit,
     H,
-    HybridSimulator,
     KnowledgeCompilationSimulator,
     LineQubit,
     StabilizerSimulator,
     StateVectorSimulator,
     TensorNetworkSimulator,
+    device,
 )
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.trajectory import TrajectorySimulator
+
+
+def auto_device(seed):
+    """``device("auto")``: the backend it routes to must honor the start state."""
+    return device("auto", seed=seed)
+
 
 ALL_BACKENDS = [
     StateVectorSimulator,
@@ -31,7 +37,7 @@ ALL_BACKENDS = [
     TrajectorySimulator,
     StabilizerSimulator,
     KnowledgeCompilationSimulator,
-    HybridSimulator,
+    auto_device,
 ]
 
 
