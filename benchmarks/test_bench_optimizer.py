@@ -5,7 +5,7 @@ Two workloads, mirroring how the paper's figures exercise the compiler:
 * **Light-cone pruning** (Figure 7-style per-observable evaluation): a QAOA
   circuit measured on a single problem edge.  Only the gates in that edge's
   reverse light cone can influence the measured marginal, so the compile
-  with ``optimize="auto"`` encodes a fraction of the Bayesian network — the
+  of the rewritten circuit encodes a fraction of the Bayesian network — the
   CNF and the compiled arithmetic circuit shrink accordingly.
 
 * **Rotation fusion** (Figure 8-style parameter sweep): a "naively
@@ -32,6 +32,7 @@ from repro.bench import emit_bench
 from repro.circuits import Circuit, measure
 from repro.circuits.gates import _RotationGate
 from repro.circuits.passes import default_pipeline
+from repro.knowledge.cache import CompiledCircuitCache
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
 
@@ -77,8 +78,9 @@ class TestLightConeCompileSize:
         simulator = KnowledgeCompilationSimulator(cache=None)
 
         baseline = simulator.compile_circuit(circuit).compilation_metrics()
-        optimized = simulator.compile_circuit(circuit, optimize="auto").compilation_metrics()
-        stats = simulator.last_optimization
+        rewrite = default_pipeline().run(circuit)
+        optimized = simulator.compile_circuit(rewrite.circuit).compilation_metrics()
+        stats = rewrite.stats
 
         assert stats is not None and stats.changed
         assert optimized["gates"] < baseline["gates"]
@@ -100,9 +102,9 @@ class TestLightConeCompileSize:
 
 def _compile_and_sweep(circuit, points):
     """One knowledge compile of ``circuit``, then every point against it."""
-    simulator = KnowledgeCompilationSimulator(cache=None)
+    simulator = KnowledgeCompilationSimulator(cache=CompiledCircuitCache())
     dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
-    compiled = dev.ensure_compiled(circuit)
+    compiled = simulator.compile_circuit(circuit)
     return compiled, dev.run(circuit, params=points, sampling="gibbs").result().rows
 
 

@@ -5,7 +5,7 @@ sampling on one compile), a submission that carries retries *and* durable
 checkpointing — but suffers no faults — must cost at most 10% more wall
 clock than a plain submission.  Both run on the same engine: ``jobs=1``
 submissions take the scheduler's inline loop whatever their policy (the
-device's live simulator instances and memoized group master are reused;
+device's live simulator instances and their compile cache are reused;
 payloads never pickle), so the difference is the policy's own cost, kept
 small by checkpointing rows as single appends to one write-ahead log (no
 per-item file create/rename, no per-row fsync — the per-record content

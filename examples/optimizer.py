@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from repro import (
+    CompiledCircuitCache,
     Device,
     KnowledgeCompilationSimulator,
     circuit_topology_key,
@@ -48,9 +49,9 @@ def split_rotations(circuit: Circuit) -> Circuit:
 
 def compile_and_sweep(circuit: Circuit, points):
     """Compile ``circuit`` once, then evaluate every point against it."""
-    simulator = KnowledgeCompilationSimulator(cache=None)
+    simulator = KnowledgeCompilationSimulator(cache=CompiledCircuitCache())
     dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
-    compiled = dev.ensure_compiled(circuit)
+    compiled = simulator.compile_circuit(circuit)
     return compiled, dev.run(circuit, params=points, sampling="gibbs").result().rows
 
 

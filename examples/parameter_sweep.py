@@ -36,7 +36,7 @@ def main() -> None:
     simulator = KnowledgeCompilationSimulator(seed=11, cache=cache)
     dev = Device("knowledge_compilation", instances={"knowledge_compilation": simulator})
     start = time.perf_counter()
-    compiled = dev.ensure_compiled(ansatz.circuit)
+    compiled = simulator.compile_circuit(ansatz.circuit)
     compile_seconds = time.perf_counter() - start
     print(f"Compiled once in {compile_seconds:.3f}s "
           f"({compiled.arithmetic_circuit.num_nodes} AC nodes)")

@@ -11,9 +11,11 @@ bespoke harnesses:
 * **batched submission** — ``run()`` accepts one circuit, a list of
   circuits, or a sweep spec (one circuit times many parameter points).
   Knowledge-compilation items are grouped by ``circuit_topology_key`` so
-  one knowledge compile serves every rebinding of a topology; other items
-  group by circuit object, and ideal Clifford items that share a resolved
-  circuit share one tableau run;
+  one knowledge compile serves every rebinding of a topology within a
+  ``run()``; across runs the simulator's compile cache is the only memo
+  (``cache=None`` recompiles on every ``run()``).  Other items group by
+  circuit object, and ideal Clifford items that share a resolved circuit
+  share one tableau run;
 * **async jobs** — ``run()`` validates its arguments once into a
   :class:`RunRequest`, plans the backend groups and makes one
   :func:`~repro.api.scheduler.submit` call; ``block=False`` or ``jobs > 1``
@@ -24,8 +26,7 @@ bespoke harnesses:
   batch are bit-identical.
 
 The per-item result *rows* are plain dicts (see
-:class:`~repro.api.results.BatchResult`); ``VariationalLoop`` is a thin
-layer over this module.
+:class:`~repro.api.results.BatchResult`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import tempfile
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.parameters import ParamResolver
-from ..circuits.passes import OptimizeSpec, PipelineStats, resolve_pipeline
+from ..circuits.passes import OptimizeSpec, resolve_pipeline
 from ..circuits.qubits import Qubit
 from ..circuits.topology import canonicalize_circuit
 from ..errors import (
@@ -378,22 +378,20 @@ def _evaluate_items(
     items: List[WorkItem],
     request: RunRequest,
     attempt: int = 0,
-    group_master=None,
     memo: Optional[Dict] = None,
 ) -> List[Tuple[int, Dict]]:
     """Evaluate one backend group's items; shared by workers and inline runs.
 
     ``attempt`` is the task's attempt number (for the fault injector).
-    ``group_master`` is an optional pre-compiled :class:`CompiledCircuit`
-    for the group's shared topology (the Device's per-topology memo);
-    circuits then rebind against it instead of recompiling.  ``memo`` is an
-    optional mutable dict shared across calls of the *same group in the same
-    process* (the inline loop runs one task per item): it carries the
-    per-position rebind / shared-tableau memos that a single batched call
-    keeps in locals, so per-item dispatch stays compile-once.
+    ``memo`` is an optional mutable dict shared across calls of the *same
+    group in the same process* (the inline loop runs one task per item): it
+    carries the group's compile and the per-position rebind / shared-tableau
+    memos that a single batched call keeps in locals, so per-item dispatch
+    stays compile-once.
     """
     rows: List[Tuple[int, Dict]] = []
-    # KC: rebound compiles by circuit position; stabilizer: shared tableaux.
+    # KC: the group's compile under "master" plus rebound views by circuit
+    # position; stabilizer: shared tableaux.
     memo = {} if memo is None else memo
     for index, pos, resolver, reason in items:
         _maybe_inject_fault(request, index, attempt)
@@ -405,8 +403,9 @@ def _evaluate_items(
             # caching disabled.
             compiled = memo.get(pos)
             if compiled is None:
-                if group_master is None:
-                    compiled = group_master = sim.compile_circuit(
+                master = memo.get("master")
+                if master is None:
+                    compiled = memo["master"] = sim.compile_circuit(
                         circuit,
                         qubit_order=request.qubit_order,
                         initial_bits=request.initial_bits,
@@ -417,7 +416,7 @@ def _evaluate_items(
                         qubit_order=request.qubit_order,
                         initial_bits=request.initial_bits,
                     )
-                    compiled = group_master.rebound_for(
+                    compiled = master.rebound_for(
                         circuit, canonical.bindings, request.qubit_order
                     )
                 memo[pos] = compiled
@@ -449,9 +448,8 @@ def _worker_backend(payload: Dict):
 def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
     """Task body: evaluate one chunk of a group's items.
 
-    Inline tasks carry this process's live backend (``sim``), the device's
-    memoized group master and the group's shared memo — they never cross a
-    process boundary.  Pooled tasks name the backend instead and hydrate a
+    Inline tasks carry this process's live backend (``sim``) and the group's
+    shared memo — they never cross a process boundary.  Pooled tasks name the backend instead and hydrate a
     fresh instance inside the worker.
     """
     sim = payload["sim"] if "sim" in payload else _worker_backend(payload)
@@ -462,7 +460,6 @@ def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
         payload["items"],
         payload["request"],
         attempt=payload.get("attempt", 0),
-        group_master=payload.get("master"),
         memo=payload.get("memo"),
     )
 
@@ -535,13 +532,6 @@ class Device:
             "noisy_fallback": noisy_fallback,
             "backend_options": dict(backend_options or {}),
         }
-        # Per-topology memo of knowledge compiles this device performed, so
-        # repeated run() calls reuse the artifact even when the simulator's
-        # own cache is disabled (cache=None isolation setups).
-        self._kc_masters: "OrderedDict[str, Any]" = OrderedDict()
-        #: Per-distinct-circuit rewrite stats from the most recent
-        #: ``run(optimize=...)`` call (``None`` when optimization was off).
-        self.last_optimization: Optional[Tuple[PipelineStats, ...]] = None
         if backend == "auto":
             self.backend = "auto"
         else:
@@ -563,8 +553,6 @@ class Device:
             "fallback": self._fallback,
             "noisy_fallback": self._noisy_fallback,
         }
-        #: The decision taken by the most recent simulate/sample call.
-        self.last_decision: Optional[BackendDecision] = None
 
     # ------------------------------------------------------------------
     def _resolve(self, name: str) -> str:
@@ -591,42 +579,6 @@ class Device:
         if self.backend == "auto":
             raise BackendCapabilityError("device('auto') routes per item; ask a fixed device")
         return backend_capabilities(self.backend)
-
-    def _kc_group_master(
-        self, sim, circuit: Circuit, topology: str, qubit_order, initial_bits
-    ):
-        """This device's memoized knowledge compile for ``topology``."""
-        master = self._kc_masters.get(topology)
-        if master is None:
-            master = sim.compile_circuit(
-                circuit, qubit_order=qubit_order, initial_bits=initial_bits
-            )
-            self._kc_masters[topology] = master
-            while len(self._kc_masters) > 8:
-                self._kc_masters.popitem(last=False)
-        else:
-            self._kc_masters.move_to_end(topology)
-        return master
-
-    def ensure_compiled(
-        self,
-        circuit: Circuit,
-        qubit_order: Optional[Sequence[Qubit]] = None,
-        initial_bits: Optional[Sequence[int]] = None,
-    ):
-        """Compile ``circuit``'s topology now (through the device memo).
-
-        Later ``run()`` batches over the same topology reuse the artifact —
-        one exponential compile total, even with the simulator's own cache
-        disabled.  Returns the compile rebound to ``circuit``.
-        """
-        order = list(qubit_order) if qubit_order is not None else None
-        canonical = canonicalize_circuit(circuit, qubit_order=order, initial_bits=initial_bits)
-        sim = self.backend_instance(KC_BACKEND)
-        master = self._kc_group_master(
-            sim, circuit, canonical.topology_key, order, initial_bits
-        )
-        return master.rebound_for(circuit, canonical.bindings, order)
 
     # ------------------------------------------------------------------
     # Single-item entry points (the legacy Simulator-shaped surface).
@@ -655,7 +607,7 @@ class Device:
         initial_state: int = 0,
     ):
         """Run one circuit on the routed backend, returning its native result."""
-        decision = self.last_decision = select_backend(
+        decision = select_backend(
             circuit, resolver, observables=(), num_qubits=_width(qubit_order), **self._routing
         )
         return self.backend_instance(decision.backend).simulate(
@@ -672,7 +624,7 @@ class Device:
         initial_state: int = 0,
     ) -> SampleResult:
         """Draw samples from one circuit on the routed backend."""
-        decision = self.last_decision = select_backend(
+        decision = select_backend(
             circuit,
             resolver,
             num_qubits=_width(qubit_order),
@@ -822,8 +774,8 @@ class Device:
             :class:`~repro.circuits.passes.PassPipeline` runs that pipeline.
             The rewrite runs once per distinct content per process: a
             re-submitted circuit of the same exact content gets the
-            memoized result (see ``docs/caching.md`` §1).
-            Per-circuit stats land on :attr:`last_optimization`.  Light-cone
+            memoized result (see ``docs/caching.md`` §1); run the pipeline
+            yourself to read its ``PipelineStats``.  Light-cone
             contract: for circuits containing measurement gates, optimized
             results are guaranteed to match unoptimized ones over the
             *measured* qubits (spectator wires may be pruned).
@@ -859,7 +811,6 @@ class Device:
             memory_budget=memory_budget,
             fault_injector=fault_injector,
         )
-        self.last_optimization = None
         if pipeline is not None:
             # Rewrite each distinct circuit exactly once, *before* journal
             # manifests, routing, classification and topology grouping: every
@@ -867,18 +818,13 @@ class Device:
             # circuits, and per-call id()-keyed memos can never mix original
             # and rewritten gate objects.
             optimized_of: Dict[int, Circuit] = {}
-            stats: List[PipelineStats] = []
             rewritten_items: List[Tuple[Circuit, Optional[ParamResolver]]] = []
             for circuit, resolver in items:
                 optimized = optimized_of.get(id(circuit))
                 if optimized is None:
-                    result = pipeline.run(circuit)
-                    optimized = result.circuit
-                    optimized_of[id(circuit)] = optimized
-                    stats.append(result.stats)
+                    optimized = optimized_of[id(circuit)] = pipeline.run(circuit).circuit
                 rewritten_items.append((optimized, resolver))
             items = rewritten_items
-            self.last_optimization = tuple(stats)
 
         # Journal: load checkpointed rows first, so already-finished items
         # are excluded *before* routing and grouping — a fully checkpointed
@@ -996,15 +942,14 @@ class Device:
     ) -> Tuple[List[Tuple], Optional[tempfile.TemporaryDirectory]]:
         """The plan's scheduler tasks, plus a temporary cache to clean up.
 
-        Inline tasks carry one item each with this device's live backend,
-        its memoized group master and a per-group memo, so per-item dispatch
-        stays compile-once.  Pooled tasks hydrate their backend inside the
-        worker: every distinct knowledge-compilation topology is compiled
-        (or fetched from the device memo) once here and persisted to a cache
-        directory the workers load instead of recompiling.  Plain pooled
-        jobs pack several items into each task; ``guarded`` (fault-tolerant)
-        jobs retry, time out and checkpoint per item, so their tasks carry
-        one item.
+        Inline tasks carry one item each with this device's live backend and
+        a per-group memo, so per-item dispatch stays compile-once.  Pooled
+        tasks hydrate their backend inside the worker: every distinct
+        knowledge-compilation topology is compiled (or fetched from the
+        simulator's cache) once here and persisted to a cache directory the
+        workers load instead of recompiling.  Plain pooled jobs pack several
+        items into each task; ``guarded`` (fault-tolerant) jobs retry, time
+        out and checkpoint per item, so their tasks carry one item.
         """
         inline = runs_inline(request.jobs, request.block, request.item_timeout)
         cleanup: Optional[tempfile.TemporaryDirectory] = None
@@ -1024,17 +969,17 @@ class Device:
             chunk_size = max(1, math.ceil(total_items / (jobs * 2)))
         tasks: List[Tuple] = []
         for group in groups:
-            backend, master = group.backend, None
-            if backend == KC_BACKEND:
-                sim = self.backend_instance(KC_BACKEND)
-                master = self._kc_group_master(
-                    sim, group.circuits[0], group.topology,
-                    request.qubit_order, request.initial_bits,
-                )
+            backend = group.backend
             lane: Dict[str, Any]
             if inline:
-                lane = {"sim": self.backend_instance(backend), "master": master, "memo": {}}
-            elif master is not None:
+                lane = {"sim": self.backend_instance(backend), "memo": {}}
+            elif backend == KC_BACKEND:
+                sim = self.backend_instance(KC_BACKEND)
+                master = sim.compile_circuit(
+                    group.circuits[0],
+                    qubit_order=request.qubit_order,
+                    initial_bits=request.initial_bits,
+                )
                 persist_compile(
                     sim, master, cache_dir,
                     qubit_order=request.qubit_order,

@@ -26,7 +26,6 @@ import numpy as np
 from ..bayesnet.from_circuit import QuantumBayesNet, circuit_to_bayesnet
 from ..circuits.circuit import Circuit
 from ..circuits.parameters import ParameterValue, ParamResolver
-from ..circuits.passes import OptimizeSpec, PipelineStats, resolve_pipeline
 from ..circuits.qubits import Qubit
 from ..circuits.topology import bind_canonical_parameters, canonicalize_circuit
 from ..cnf.encoder import CNFEncoding, encode_bayesnet
@@ -61,6 +60,13 @@ def _encoding_fingerprint(encoding: CNFEncoding) -> str:
         tuple(sorted((name, tuple(bits)) for name, bits in encoding.node_bits.items())),
     )
     return hashlib.sha256(repr(description).encode("utf-8")).hexdigest()
+
+
+def _binding_key(resolver: Optional[ParamResolver]) -> Optional[int]:
+    """Hashable identity of a parameter binding (``None`` for no resolver)."""
+    if resolver is None:
+        return None
+    return hash(tuple(sorted(resolver.as_dict().items())))
 
 
 class RetainedVariable:
@@ -293,10 +299,7 @@ class CompiledCircuit:
         return bind_canonical_parameters(self._canonical_bindings or (), resolver)
 
     def _resolver_key(self, resolver: Optional[ParamResolver]) -> Optional[int]:
-        resolver = self.effective_resolver(resolver)
-        if resolver is None:
-            return None
-        return hash(tuple(sorted(resolver.as_dict().items())))
+        return _binding_key(self.effective_resolver(resolver))
 
     def _base_template(self, resolver: Optional[ParamResolver] = None) -> Tuple[np.ndarray, complex]:
         """Literal-value template with weights bound, memoized per resolver.
@@ -309,7 +312,7 @@ class CompiledCircuit:
         parameter sweep.
         """
         effective = self.effective_resolver(resolver)
-        key = None if effective is None else hash(tuple(sorted(effective.as_dict().items())))
+        key = _binding_key(effective)
         if self._weights_cache is not None and self._weights_cache[0] == key:
             _, template, constant = self._weights_cache
             return template, constant
@@ -472,18 +475,19 @@ class CompiledCircuit:
             raise UnsupportedCircuitError("circuit is noisy; use density_matrix()")
         return self.amplitudes(self._all_bitstrings(), resolver=resolver)
 
-    def _noise_branch_product(self):
+    def _branch_amplitudes(self, resolver: Optional[ParamResolver]):
+        """Yield the full amplitude vector of each noise-branch assignment in turn."""
+        bit_matrix = self._all_bitstrings()
         cardinalities = [variable.cardinality for variable in self.noise_variables]
-        return itertools.product(*[range(c) for c in cardinalities])
+        for branches in itertools.product(*[range(c) for c in cardinalities]):
+            branch_row = np.asarray(branches, dtype=np.int64)[np.newaxis]
+            yield self.amplitudes(bit_matrix, noise_branches=branch_row, resolver=resolver)
 
     def density_matrix(self, resolver: Optional[ParamResolver] = None) -> np.ndarray:
         """Full density matrix, summing over noise branches (validation only)."""
         dim = 2 ** self.num_qubits
         rho = np.zeros((dim, dim), dtype=complex)
-        bit_matrix = self._all_bitstrings()
-        for branches in self._noise_branch_product():
-            branch_row = np.asarray(branches, dtype=np.int64)[np.newaxis]
-            vector = self.amplitudes(bit_matrix, noise_branches=branch_row, resolver=resolver)
+        for vector in self._branch_amplitudes(resolver):
             rho += np.outer(vector, vector.conj())
         return rho
 
@@ -495,12 +499,8 @@ class CompiledCircuit:
         """
         if not self.noise_variables:
             return np.abs(self.state_vector(resolver)) ** 2
-        dim = 2 ** self.num_qubits
-        probabilities = np.zeros(dim, dtype=float)
-        bit_matrix = self._all_bitstrings()
-        for branches in self._noise_branch_product():
-            branch_row = np.asarray(branches, dtype=np.int64)[np.newaxis]
-            vector = self.amplitudes(bit_matrix, noise_branches=branch_row, resolver=resolver)
+        probabilities = np.zeros(2 ** self.num_qubits, dtype=float)
+        for vector in self._branch_amplitudes(resolver):
             probabilities += np.abs(vector) ** 2
         return probabilities.clip(min=0.0)
 
@@ -556,8 +556,6 @@ class KnowledgeCompilationSimulator(Simulator):
         # paying the initial-state search and burn-in again; resolver changes
         # re-bind the cached sampler in place.
         self._sampler_cache: "OrderedDict[int, object]" = OrderedDict()
-        #: Rewrite stats from the most recent ``compile_circuit(optimize=...)``.
-        self.last_optimization: Optional[PipelineStats] = None
 
     @property
     def cache(self) -> Optional[CompiledCircuitCache]:
@@ -594,7 +592,6 @@ class KnowledgeCompilationSimulator(Simulator):
         qubit_order: Optional[Sequence[Qubit]] = None,
         initial_bits: Optional[Sequence[int]] = None,
         elide_internal: Optional[bool] = None,
-        optimize: OptimizeSpec = None,
     ) -> CompiledCircuit:
         """Compile a circuit's *topology* once, for repeated parameterized queries.
 
@@ -604,7 +601,9 @@ class KnowledgeCompilationSimulator(Simulator):
         topology + ordering + elision).  The returned
         :class:`CompiledCircuit` is a lightweight view binding the template
         back to ``circuit``'s own parameter values, so a sweep over twenty
-        parameter points compiles exactly once.
+        parameter points compiles exactly once.  To compile a rewritten
+        circuit, pass ``resolve_pipeline("auto").run(circuit).circuit``
+        (:mod:`repro.circuits.passes`).
 
         Parameters
         ----------
@@ -617,16 +616,6 @@ class KnowledgeCompilationSimulator(Simulator):
             Initial computational-basis bits, baked into the compile.
         elide_internal:
             Per-call override of the constructor's ``elide_internal``.
-        optimize:
-            ``None``/``False`` (default) compiles the circuit as given;
-            ``True``/``"auto"`` runs :func:`repro.circuits.passes.default_pipeline`
-            first, a :class:`~repro.circuits.passes.PassPipeline` runs that
-            pipeline.  Rewriting happens *before* canonicalization, so the
-            optimized symbolic ansatz and its resolved instances still share
-            one topology key and one cached compile.  Stats land in
-            :attr:`last_optimization`.  Note the light-cone contract: for a
-            circuit containing measurement gates, the compiled distribution
-            is guaranteed only over the *measured* qubits.
 
         Returns
         -------
@@ -635,11 +624,6 @@ class KnowledgeCompilationSimulator(Simulator):
         """
         if isinstance(circuit, CompiledCircuit):
             return circuit
-        pipeline = resolve_pipeline(optimize)
-        if pipeline is not None:
-            optimized = pipeline.run(circuit)
-            circuit = optimized.circuit
-            self.last_optimization = optimized.stats
         elide = self.elide_internal if elide_internal is None else elide_internal
         canonical = canonicalize_circuit(circuit, qubit_order=qubit_order, initial_bits=initial_bits)
         cache = self.cache
@@ -715,11 +699,6 @@ class KnowledgeCompilationSimulator(Simulator):
 
         return CompiledCircuit(template, network, encoding, arithmetic_circuit, elide, self.order_method)
 
-    def _ensure_compiled(self, circuit) -> CompiledCircuit:
-        if isinstance(circuit, CompiledCircuit):
-            return circuit
-        return self.compile_circuit(circuit)
-
     # ------------------------------------------------------------------
     def amplitude(
         self,
@@ -728,7 +707,7 @@ class KnowledgeCompilationSimulator(Simulator):
         noise_branches: Optional[Sequence[int]] = None,
         resolver: Optional[ParamResolver] = None,
     ) -> complex:
-        return self._ensure_compiled(circuit).amplitude(bits, noise_branches, resolver)
+        return self.compile_circuit(circuit).amplitude(bits, noise_branches, resolver)
 
     def simulate(
         self,

@@ -1,26 +1,22 @@
-"""The hybrid quantum-classical variational loop (thin layer over ``Device``).
+"""The hybrid quantum-classical variational loop.
 
-Ties together an ansatz (QAOA or VQE), an execution backend and a classical
+Ties together an ansatz (QAOA or VQE), a simulator backend and a classical
 optimizer: each optimizer iteration binds the current parameters, draws
 samples from the circuit's output distribution, and evaluates the problem
-objective on those samples.  The simulator instance is wrapped in a
-fixed-backend :class:`~repro.api.device.Device`: dense backends sample
-through ``Device.run`` rows, and the knowledge-compilation backend
-compiles once through the device's per-topology memo — the
+objective on those samples.  The knowledge-compilation backend compiles
+the parameterized circuit once (through the simulator's compile cache) and
+samples the compiled circuit at every iteration — the
 compile-once/rebind-per-iteration economics the paper's toolchain is
-designed around — then samples the precompiled circuit directly so the
-legacy Gibbs semantics (warm chains, per-seed streams) are preserved
-bit-for-bit.
+designed around.  Every other backend samples the resolved circuit.
+Iteration ``k`` samples with ``seed + k``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from ..api.device import Device
-from ..api.registry import REGISTRY
 from ..simulator.base import Simulator
 from ..simulator.kc_simulator import CompiledCircuit, KnowledgeCompilationSimulator
 from .optimizer import NelderMeadOptimizer, OptimizationResult
@@ -79,48 +75,21 @@ class VariationalLoop:
         self._compiled: Optional[CompiledCircuit] = None
         self._executions = 0
         self._trace: List[float] = []
-
-        # Wrap the backend in a fixed-name Device so every objective
-        # evaluation goes through the unified execution API (registered
-        # backends only — a custom Simulator subclass keeps the direct
-        # call path).
-        self._device: Optional[Device] = None
-        if simulator.name in REGISTRY:
-            self._device = Device(
-                backend=simulator.name, instances={simulator.name: simulator}, seed=seed
-            )
-
         if isinstance(simulator, KnowledgeCompilationSimulator):
             # Compile the parameterized circuit structure once; every
-            # objective evaluation below re-binds parameters only (Gibbs
-            # sampling against the shared compile — the legacy semantics,
-            # bit-identical per seed).  The device memo shares the artifact
-            # with any batched run over the same topology.
-            if self._device is not None:
-                self._compiled = self._device.ensure_compiled(ansatz.circuit)
-            else:
-                self._compiled = simulator.compile_circuit(ansatz.circuit)
+            # objective evaluation below re-binds parameters only.
+            self._compiled = simulator.compile_circuit(ansatz.circuit)
 
     # ------------------------------------------------------------------
     def _sample(self, resolver):
         self._executions += 1
         seed = None if self.seed is None else self.seed + self._executions
         if self._compiled is not None:
-            # Knowledge-compilation fast path: sample the precompiled
-            # circuit directly — no per-iteration canonicalization, and the
-            # sampling semantics (warm Gibbs chains, per-seed streams) stay
-            # exactly what they were before the Device API existed.
+            # Gibbs sampling against the shared compile: warm chains when
+            # unseeded, one fresh stream per seed otherwise.
             return self.simulator.sample(
                 self._compiled, self.samples_per_evaluation, resolver=resolver, seed=seed
             )
-        if self._device is not None:
-            job = self._device.run(
-                self.ansatz.circuit,
-                params=[resolver],
-                repetitions=self.samples_per_evaluation,
-                seed=seed,
-            )
-            return job.result().sample_results()[0]
         resolved = self.ansatz.circuit.resolve_parameters(resolver)
         return self.simulator.sample(resolved, self.samples_per_evaluation, seed=seed)
 

@@ -11,6 +11,7 @@ Clifford/universal/noisy batch of >= 100 circuits
 """
 
 import importlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -38,9 +39,12 @@ from repro.api.device import Device
 from repro.circuits.clifford import classify_circuit
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.errors import BackendCapabilityError, MemoryBudgetError
+from repro.knowledge.cache import CompiledCircuitCache
 from repro.knowledge.compiler import KnowledgeCompiler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.trajectory import TrajectorySimulator
+from repro.variational import QAOACircuit, VariationalLoop, random_regular_maxcut
+from repro.variational.optimizer import NelderMeadOptimizer
 
 
 def _mixed_batch(num_items=102):
@@ -71,6 +75,35 @@ def _nonclifford(n=3, angle=0.3):
     q = LineQubit.range(n)
     ops = [H(q[0]), Rx(angle)(q[1])] + [CNOT(q[i], q[i + 1]) for i in range(n - 1)]
     return Circuit(ops)
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Records every d-DNNF build in this process; a pool worker's build fails its item.
+
+    Pooled runs persist each topology's compile for their workers, so a
+    worker that reaches ``KnowledgeCompiler.compile`` recompiled needlessly.
+    """
+    calls = []
+    original = KnowledgeCompiler.compile
+    parent = os.getpid()
+
+    def counting_compile(self, *args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker recompiled a persisted topology")
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
+    return calls
+
+
+def _kc_device(cache):
+    """A fixed knowledge-compilation device over a simulator with ``cache``."""
+    simulator = KnowledgeCompilationSimulator(seed=0, cache=cache)
+    return simulator, Device(
+        "knowledge_compilation", instances={"knowledge_compilation": simulator}
+    )
 
 
 class TestAutoRoutingParity:
@@ -110,47 +143,49 @@ class TestAutoRoutingParity:
 
 
 class TestTopologyGrouping:
-    def test_shared_topology_compiles_exactly_once(self, monkeypatch):
-        compile_calls = []
-        original = KnowledgeCompiler.compile
-
-        def counting_compile(self, *args, **kwargs):
-            compile_calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
+    def test_shared_topology_compiles_exactly_once(self, compile_calls):
         batch = [
             circuit for circuit in _mixed_batch(102) if not circuit.has_noise
         ]
-        simulator = KnowledgeCompilationSimulator(seed=0, cache=None)
-        # Route everything to the KC backend: cache disabled, so every
-        # d-DNNF build calls KnowledgeCompiler.compile -- but grouping by
-        # topology means the two distinct topologies compile exactly twice.
-        dev = Device(backend="knowledge_compilation", instances={"knowledge_compilation": simulator})
+        # Route everything to the KC backend over a private cache: grouping
+        # by topology means the two distinct topologies compile exactly
+        # twice, and the cache serves every later run.
+        _, dev = _kc_device(CompiledCircuitCache())
         result = dev.run(batch, observables=["probabilities"]).result()
         assert len(result) == len(batch)
         assert len(compile_calls) == 2  # one Clifford skeleton + one rotation topology
-        # Repeated runs on the same device reuse the per-topology memo even
-        # though the simulator's own cache is disabled.
         dev.run(batch[:4], observables=["probabilities"]).result()
         assert len(compile_calls) == 2
 
-    def test_cache_disabled_sweep_compiles_once(self, monkeypatch):
-        compile_calls = []
-        original = KnowledgeCompiler.compile
+    def test_cache_disabled_compiles_once_per_topology_per_run(self, compile_calls):
+        batch = [
+            circuit for circuit in _mixed_batch(12) if not circuit.has_noise
+        ]
+        _, dev = _kc_device(None)
+        dev.run(batch, observables=["probabilities"]).result()
+        assert len(compile_calls) == 2
+        # cache=None keeps no memo across runs: every run compiles again.
+        dev.run(batch, observables=["probabilities"]).result()
+        assert len(compile_calls) == 4
 
-        def counting_compile(self, *args, **kwargs):
-            compile_calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
+    def test_private_cache_compiles_once_across_runs_and_pools(self, compile_calls):
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
-        dev = Device(
-            "knowledge_compilation",
-            instances={"knowledge_compilation": KnowledgeCompilationSimulator(seed=0, cache=None)},
-        )
-        dev.ensure_compiled(circuit)
+        _, dev = _kc_device(CompiledCircuitCache())
+        points = [{"a": 0.2}, {"a": 0.5}, {"a": 0.8}]
+        options = dict(params=points, observables=["probabilities"], repetitions=8, seed=3)
+        serial = dev.run(circuit, **options).result()
+        dev.run(circuit, params=[{"a": 0.1}], observables=["probabilities"]).result()
+        pooled = dev.run(circuit, jobs=2, **options).result()
+        assert len(compile_calls) == 1
+        assert np.array_equal(serial.probabilities(), pooled.probabilities())
+        assert serial.counts() == pooled.counts()
+
+    def test_private_cache_sweep_compiles_once(self, compile_calls):
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
+        simulator, dev = _kc_device(CompiledCircuitCache())
+        simulator.compile_circuit(circuit)
         dev.run(
             circuit,
             params=[{"a": 0.3}, {"a": 0.9}],
@@ -162,22 +197,18 @@ class TestTopologyGrouping:
         dev.run(circuit, params=[{"a": 0.1}], observables=["probabilities"]).result()
         assert len(compile_calls) == 1
 
-    def test_auto_sweep_cache_disabled_compiles_once(self, monkeypatch):
-        compile_calls = []
-        original = KnowledgeCompiler.compile
-
-        def counting_compile(self, *args, **kwargs):
-            compile_calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(KnowledgeCompiler, "compile", counting_compile)
+    def test_auto_sweep_private_cache_compiles_once(self, compile_calls):
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
         dev = Device(
             "auto",
             fallback="knowledge_compilation",
             noisy_fallback="knowledge_compilation",
-            instances={"knowledge_compilation": KnowledgeCompilationSimulator(seed=0, cache=None)},
+            instances={
+                "knowledge_compilation": KnowledgeCompilationSimulator(
+                    seed=0, cache=CompiledCircuitCache()
+                )
+            },
         )
         result = dev.run(
             circuit, params=[{"a": 0.0}, {"a": 0.37}], observables=["probabilities"]
@@ -278,6 +309,32 @@ class TestTopologyGrouping:
             else:
                 assert row["samples"].samples == kc_rows[index]["samples"].samples
                 np.testing.assert_array_equal(row["probabilities"], kc_rows[index]["probabilities"])
+
+
+class TestVariationalLoop:
+    def test_dense_backend_samples_the_resolved_circuit(self):
+        ansatz = QAOACircuit(random_regular_maxcut(4, seed=3), iterations=1)
+        seed, shots = 11, 32
+        loop = VariationalLoop(
+            ansatz,
+            StateVectorSimulator(seed=5),
+            samples_per_evaluation=shots,
+            optimizer=NelderMeadOptimizer(max_iterations=3),
+            seed=seed,
+        )
+        run = loop.run(initial_parameters=np.array([0.4, 0.9]))
+        # Evaluation k samples the circuit resolved at its parameters with
+        # seed + k; the best point is re-sampled last.
+        best = ansatz.circuit.resolve_parameters(ansatz.resolver(list(run.best_parameters)))
+        reference = StateVectorSimulator(seed=5).sample(
+            best, shots, seed=seed + run.num_circuit_executions
+        )
+        assert run.best_samples.samples == reference.samples
+        first = ansatz.circuit.resolve_parameters(ansatz.resolver([0.4, 0.9]))
+        expected = ansatz.objective_from_samples(
+            StateVectorSimulator(seed=5).sample(first, shots, seed=seed + 1)
+        )
+        assert run.objective_trace[0] == expected
 
 
 class TestCapabilityRegistry:

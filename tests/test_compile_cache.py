@@ -324,7 +324,7 @@ class TestSweepEngine:
     def test_parallel_sweep_is_deterministic(self):
         circuit = _ansatz_circuit(symbols=True)
         dev = _kc_device(seed=5)
-        dev.ensure_compiled(circuit)
+        dev.backend_instance(KC).compile_circuit(circuit)
         points = _points(np.linspace(0.2, 1.1, 6), np.linspace(0.1, 0.8, 6))
         options = dict(
             params=points, observables=["probabilities"], repetitions=40, seed=17, sampling="gibbs"

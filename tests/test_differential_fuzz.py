@@ -323,7 +323,6 @@ class TestOptimizedVsUnoptimized:
         device = repro.device("auto")
         base = device.run([circuit]).result().rows[0]["probabilities"]
         optimized = device.run([circuit], optimize="auto").result().rows[0]["probabilities"]
-        assert device.last_optimization is not None
         np.testing.assert_allclose(optimized, base, atol=1e-10)
 
     def test_hybrid_prefix_split_parity(self, circuit_fuzzer):

@@ -651,9 +651,9 @@ class TestFrameworkSurface:
         q = LineQubit.range(2)
         circuit = Circuit([H(q[0]), Rz(0.4)(q[0]), Rz(0.5)(q[0]), CNOT(q[0], q[1])])
         simulator = KnowledgeCompilationSimulator(cache=None)
-        compiled = simulator.compile_circuit(circuit, optimize=True)
-        assert simulator.last_optimization is not None
-        assert simulator.last_optimization.removed == 1
+        rewrite = resolve_pipeline(True).run(circuit)
+        assert rewrite.stats.removed == 1
+        compiled = simulator.compile_circuit(rewrite.circuit)
         reference = simulator.compile_circuit(circuit)
         np.testing.assert_allclose(
             compiled.probabilities(None), reference.probabilities(None), atol=1e-10
