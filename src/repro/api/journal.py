@@ -17,7 +17,11 @@ why they share one log file instead of a file per item: appending a record
 is a single ``write`` on a descriptor opened once per journal, roughly an
 order of magnitude cheaper than a create + rename pair per item, and it is
 what keeps the fault-free overhead of checkpointing within the benchmark
-budget (see ``benchmarks/test_bench_robustness.py``).
+budget (see ``benchmarks/test_bench_robustness.py``).  For the same reason a
+record stores a row's sample bits as plain bytes: pickling the
+:class:`~repro.simulator.results.SampleResult` itself costs a class lookup
+per qubit, and its ``counts`` histogram one string per distinct shot, which
+together cost more than the rest of the record (see :func:`_record`).
 
 Because every observable is deterministic given the item's parameter binding
 and its ``seed + index`` (samples are seeded draws, probabilities and state
@@ -44,7 +48,9 @@ import uuid
 from typing import Any, Dict, Optional, Tuple
 
 from ..atomicio import atomic_write_bytes
+from ..circuits.qubits import LineQubit
 from ..errors import JobError
+from ..simulator.results import SampleResult, _unpack_samples
 
 #: Environment variable naming the default journal directory.
 JOB_DIR_ENV = "REPRO_JOB_DIR"
@@ -60,6 +66,43 @@ _WAL_MAGIC = b"RJW1"
 
 #: Record header: magic, payload length, SHA-256 digest of the payload.
 _WAL_HEADER = struct.Struct(">4sI32s")
+
+
+def _record(index: int, row: Any) -> Tuple:
+    """The pickled form of one checkpoint: builtins only on the common path.
+
+    A dict row whose ``samples`` is a packed :class:`SampleResult` over line
+    qubits is stored with its ``samples`` entry (and ``counts``, if present)
+    set to ``None`` and the bits alongside as ``(qubit indices, packed bits,
+    shots)``; :func:`_restore` rebuilds both entries in place, so key order
+    and values come back unchanged.  ``counts`` is, by the row contract of
+    ``Device`` (``_record_samples``), the histogram of ``samples``.  Any
+    other row is stored as it is.
+    """
+    samples = row.get("samples") if isinstance(row, dict) else None
+    if not isinstance(samples, SampleResult):
+        return (index, row)
+    packed = getattr(samples, "_packed", None)  # absent on results pickled before packing
+    if packed is None or not all(type(qubit) is LineQubit for qubit in samples.qubits):
+        return (index, row)
+    stored = dict(row)
+    stored["samples"] = None
+    if "counts" in stored:
+        stored["counts"] = None
+    bits = (tuple([qubit.index for qubit in samples.qubits]), packed, len(samples.samples))
+    return (index, stored, bits)
+
+
+def _restore(record: Tuple) -> Tuple[Any, Any]:
+    """Inverse of :func:`_record`: ``(index, row)``."""
+    if len(record) == 2:
+        return record[0], record[1]
+    index, row, (indices, packed, shots) = record
+    samples = _unpack_samples([LineQubit(i) for i in indices], packed, shots)
+    row["samples"] = samples
+    if "counts" in row:
+        row["counts"] = samples.bitstring_counts()
+    return index, row
 
 
 def new_job_id() -> str:
@@ -160,7 +203,7 @@ class JobJournal:
         item re-runs on resume) instead of failing the job.
         """
         try:
-            payload = pickle.dumps((int(index), row), protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(_record(int(index), row), protocol=pickle.HIGHEST_PROTOCOL)
             header = _WAL_HEADER.pack(
                 _WAL_MAGIC, len(payload), hashlib.sha256(payload).digest()
             )
@@ -217,7 +260,7 @@ class JobJournal:
             if hashlib.sha256(payload).digest() != digest:
                 continue
             try:
-                index, row = pickle.loads(payload)
+                index, row = _restore(pickle.loads(payload))
             except Exception:  # reprolint: disable=broad-except -- the fingerprint localises damage to this record; skipping it re-runs one item
                 continue
             if isinstance(index, int):

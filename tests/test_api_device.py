@@ -37,6 +37,7 @@ from repro.api import backend_capabilities, capability_matrix, list_backends
 from repro.api.capabilities import capability_violation
 from repro.api.device import Device
 from repro.circuits.clifford import classify_circuit
+from repro.circuits.passes import resolve_pipeline
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.errors import BackendCapabilityError, MemoryBudgetError
 from repro.knowledge.cache import CompiledCircuitCache
@@ -167,6 +168,19 @@ class TestTopologyGrouping:
         # cache=None keeps no memo across runs: every run compiles again.
         dev.run(batch, observables=["probabilities"]).result()
         assert len(compile_calls) == 4
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_cache_disabled_recompiles_on_every_run(self, runs, compile_calls):
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), Rx(Symbol("a"))(q[1]), CNOT(q[0], q[1])])
+        _, dev = _kc_device(None)
+        points = [{"a": 0.1}, {"a": 0.4}, {"a": 0.7}]
+        first = dev.run(circuit, params=points, observables=["probabilities"]).result()
+        for _ in range(runs - 1):
+            again = dev.run(circuit, params=points, observables=["probabilities"]).result()
+            assert np.array_equal(again.probabilities(), first.probabilities())
+        # One compile per run for the shared topology, none per point.
+        assert len(compile_calls) == runs
 
     def test_private_cache_compiles_once_across_runs_and_pools(self, compile_calls):
         q = LineQubit.range(2)
@@ -335,6 +349,87 @@ class TestVariationalLoop:
             StateVectorSimulator(seed=5).sample(first, shots, seed=seed + 1)
         )
         assert run.objective_trace[0] == expected
+
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "make_simulator",
+        [lambda: DensityMatrixSimulator(seed=5), lambda: TrajectorySimulator(seed=5)],
+        ids=["density_matrix", "trajectory"],
+    )
+    def test_backend_samples_match_direct_sampling(self, make_simulator, seed):
+        ansatz = QAOACircuit(random_regular_maxcut(4, seed=3), iterations=1)
+        shots = 24
+        loop = VariationalLoop(
+            ansatz,
+            make_simulator(),
+            samples_per_evaluation=shots,
+            optimizer=NelderMeadOptimizer(max_iterations=2),
+            seed=seed,
+        )
+        run = loop.run(initial_parameters=np.array([0.3, 0.6]))
+        best = ansatz.circuit.resolve_parameters(ansatz.resolver(list(run.best_parameters)))
+        reference = make_simulator().sample(
+            best, shots, seed=seed + run.num_circuit_executions
+        )
+        assert run.best_samples.samples == reference.samples
+        assert len(run.objective_trace) == run.num_circuit_executions - 1
+
+    def test_knowledge_compilation_compiles_once_and_samples_the_compile(self, compile_calls):
+        ansatz = QAOACircuit(random_regular_maxcut(4, seed=3), iterations=1)
+        seed, shots = 4, 24
+        simulator = KnowledgeCompilationSimulator(seed=2, cache=CompiledCircuitCache())
+        loop = VariationalLoop(
+            ansatz,
+            simulator,
+            samples_per_evaluation=shots,
+            optimizer=NelderMeadOptimizer(max_iterations=3),
+            seed=seed,
+        )
+        run = loop.run(initial_parameters=np.array([0.3, 0.6]))
+        assert len(compile_calls) == 1
+        compiled = simulator.compile_circuit(ansatz.circuit)
+        reference = simulator.sample(
+            compiled,
+            shots,
+            resolver=ansatz.resolver(list(run.best_parameters)),
+            seed=seed + run.num_circuit_executions,
+        )
+        assert run.best_samples.samples == reference.samples
+        assert len(compile_calls) == 1
+
+
+class TestRoutingDecision:
+    """``Device.decide`` reports the route a run takes (no side channel)."""
+
+    @pytest.mark.parametrize(
+        "make_circuit",
+        [
+            _clifford,
+            _nonclifford,
+            lambda: _clifford().with_noise(lambda: depolarize(0.03)),
+        ],
+        ids=["clifford", "nonclifford", "noisy_clifford"],
+    )
+    def test_decide_names_the_backend_a_run_uses(self, make_circuit):
+        circuit = make_circuit()
+        dev = device("auto", seed=0)
+        decision = dev.decide(circuit, repetitions=16)
+        row = dev.run(circuit, repetitions=16).result().rows[0]
+        assert row["backend"] == decision.backend
+        assert row["reason"] == decision.reason
+
+    def test_pipeline_stats_describe_an_optimized_run(self):
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), Rz(0.4)(q[0]), Rz(0.5)(q[0]), CNOT(q[0], q[1]), Rx(0.3)(q[1])])
+        rewrite = resolve_pipeline("auto").run(circuit)
+        assert rewrite.stats.removed == 1
+        dev = device("auto", seed=0)
+        optimized = dev.run(circuit, observables=["probabilities"], optimize="auto").result()
+        direct = dev.run(rewrite.circuit, observables=["probabilities"]).result()
+        np.testing.assert_allclose(
+            optimized.probabilities(), direct.probabilities(), rtol=0, atol=1e-12
+        )
 
 
 class TestCapabilityRegistry:

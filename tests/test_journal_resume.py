@@ -38,7 +38,7 @@ import importlib
 # ``repro.api`` re-exports the ``device()`` factory under the same name as
 # the module, so fetch the module itself for monkeypatching.
 device_module = importlib.import_module("repro.api.device")
-from repro.api.journal import JOB_DIR_ENV, JobJournal, new_job_id
+from repro.api.journal import _WAL_HEADER, _WAL_MAGIC, JOB_DIR_ENV, JobJournal, new_job_id
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -137,6 +137,62 @@ class TestJobJournal:
         journal = JobJournal(str(tmp_path))
         journal.checkpoint_row(0, {"bad": lambda: None})
         assert journal.load_row(0) is None
+
+    def test_sample_rows_round_trip_with_counts_and_key_order(self, tmp_path):
+        job = device("auto", seed=4).run([_ghz()] * 2, repetitions=16)
+        rows = job.result().rows
+        journal = JobJournal(str(tmp_path))
+        for row in rows:
+            journal.checkpoint_row(row["index"], row)
+        for row in rows:
+            loaded = journal.load_row(row["index"])
+            assert list(loaded) == list(row)
+            assert loaded["counts"] == row["counts"]
+            assert loaded["samples"].qubits == row["samples"].qubits
+            assert loaded["samples"].samples == row["samples"].samples
+            assert {k: v for k, v in loaded.items() if k not in ("samples", "counts")} == {
+                k: v for k, v in row.items() if k not in ("samples", "counts")
+            }
+
+    def test_line_qubit_sample_records_pickle_no_globals(self, tmp_path):
+        import pickletools
+
+        row = device("auto", seed=4).run([_ghz()], repetitions=16).result().rows[0]
+        journal = JobJournal(str(tmp_path))
+        journal.checkpoint_row(0, row)
+        with open(journal.wal_path, "rb") as handle:
+            payload = handle.read()[_WAL_HEADER.size :]
+        opcodes = {op.name for op, _, _ in pickletools.genops(payload)}
+        assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ"}
+
+    def test_other_sample_rows_are_stored_as_they_are(self, tmp_path):
+        from repro.circuits import GridQubit
+        from repro.simulator.results import SampleResult
+
+        qubits = [GridQubit(0, 0), GridQubit(0, 1)]
+        samples = SampleResult(qubits, np.array([[0, 1], [1, 1]]))
+        row = {"index": 0, "samples": samples, "counts": samples.bitstring_counts()}
+        journal = JobJournal(str(tmp_path))
+        journal.checkpoint_row(0, row)
+        loaded = journal.load_row(0)
+        assert loaded["samples"].qubits == qubits
+        assert loaded["samples"].samples == samples.samples
+        assert loaded["counts"] == {"01": 1, "11": 1}
+
+    def test_records_written_as_index_row_pairs_still_load(self, tmp_path):
+        import hashlib
+
+        row = device("auto", seed=4).run([_ghz()], repetitions=8).result().rows[0]
+        journal = JobJournal(str(tmp_path))
+        journal.checkpoint_row(1, {"value": 1})  # creates the log
+        payload = pickle.dumps((0, row), protocol=pickle.HIGHEST_PROTOCOL)
+        header = _WAL_HEADER.pack(_WAL_MAGIC, len(payload), hashlib.sha256(payload).digest())
+        with open(journal.wal_path, "ab") as handle:
+            handle.write(header + payload)
+        loaded = journal.load_row(0)
+        assert loaded["counts"] == row["counts"]
+        assert loaded["samples"].samples == row["samples"].samples
+        assert journal.load_row(1) == {"value": 1}
 
     def test_manifest_roundtrip(self, tmp_path):
         journal = JobJournal(str(tmp_path), "abc123")

@@ -21,10 +21,18 @@ from repro.circuits import (
     amplitude_damp,
     bit_flip,
     depolarize,
+    generalized_amplitude_damp,
     phase_damp,
+    phase_flip,
 )
+from repro.circuits.passes import resolve_pipeline
+from repro.cnf.encoder import WeightEmitter
 from repro.densitymatrix import DensityMatrixSimulator
-from repro.simulator.kc_simulator import CompiledCircuit, KnowledgeCompilationSimulator
+from repro.simulator.kc_simulator import (
+    CompiledCircuit,
+    KnowledgeCompilationSimulator,
+    _binding_key,
+)
 from repro.statevector import StateVectorSimulator
 
 
@@ -196,6 +204,122 @@ class TestNoisyCorrectness:
         compiled = kc_simulator.compile_circuit(noisy_bell_circuit)
         probabilities = compiled.probabilities()
         assert probabilities.sum() == pytest.approx(1.0)
+
+
+_BRANCH_CHANNELS = {
+    "ideal": None,
+    "bit_flip": lambda: bit_flip(0.2),
+    "phase_flip": lambda: phase_flip(0.15),
+    "depolarizing": lambda: depolarize(0.1),
+    "amplitude_damping": lambda: amplitude_damp(0.3),
+    "phase_damping": lambda: phase_damp(0.36),
+    "generalized_amplitude_damping": lambda: generalized_amplitude_damp(0.25, 0.4),
+    "asymmetric_depolarizing": lambda: AsymmetricDepolarizingChannel(0.05, 0.1, 0.15),
+}
+
+
+def _branch_circuit(channel_name):
+    """A parameterized 2-qubit circuit with the named channel on both qubits."""
+    q = LineQubit.range(2)
+    circuit = Circuit([Ry(Symbol("theta"))(q[0]), CNOT(q[0], q[1]), Rx(0.7)(q[1])])
+    factory = _BRANCH_CHANNELS[channel_name]
+    if factory is not None:
+        circuit.append(factory().on(q[0]))
+        circuit.append(factory().on(q[1]))
+    return circuit
+
+
+class TestBranchQueries:
+    """``density_matrix`` and ``probabilities`` share one per-branch loop."""
+
+    @pytest.mark.parametrize("channel_name", sorted(_BRANCH_CHANNELS))
+    def test_probabilities_are_the_density_matrix_diagonal(self, channel_name, kc_simulator):
+        circuit = _branch_circuit(channel_name)
+        compiled = kc_simulator.compile_circuit(circuit)
+        for theta in (0.3, 1.9):
+            resolver = ParamResolver({"theta": theta})
+            probabilities = compiled.probabilities(resolver)
+            rho = compiled.density_matrix(resolver)
+            np.testing.assert_allclose(probabilities, np.diag(rho).real, rtol=0, atol=1e-12)
+            expected = DensityMatrixSimulator().simulate(circuit, resolver)
+            np.testing.assert_allclose(rho, expected.density_matrix, rtol=0, atol=1e-10)
+            assert probabilities.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("channel_name", ["bit_flip", "amplitude_damping", "asymmetric_depolarizing"])
+    def test_density_matrix_sums_branch_outer_products_in_order(self, channel_name, kc_simulator):
+        compiled = kc_simulator.compile_circuit(_branch_circuit(channel_name))
+        resolver = ParamResolver({"theta": 0.8})
+        bit_matrix = compiled._all_bitstrings()
+        rho = np.zeros((4, 4), dtype=complex)
+        probabilities = np.zeros(4)
+        cardinalities = [variable.cardinality for variable in compiled.noise_variables]
+        for branches in np.ndindex(*cardinalities):
+            vector = compiled.amplitudes(
+                bit_matrix, noise_branches=np.asarray([branches]), resolver=resolver
+            )
+            rho += np.outer(vector, vector.conj())
+            probabilities += np.abs(vector) ** 2
+        # Same branch order and the same arithmetic: equal to the bit.
+        assert np.array_equal(compiled.density_matrix(resolver), rho)
+        assert np.array_equal(compiled.probabilities(resolver), probabilities.clip(min=0.0))
+
+
+class TestBindingKey:
+    def test_no_resolver_has_no_key(self):
+        assert _binding_key(None) is None
+
+    def test_key_ignores_assignment_order(self):
+        forward = ParamResolver({"a": 0.1, "b": 0.2})
+        backward = ParamResolver({"b": 0.2, "a": 0.1})
+        assert _binding_key(forward) == _binding_key(backward)
+
+    def test_key_distinguishes_values(self):
+        assert _binding_key(ParamResolver({"a": 0.1})) != _binding_key(ParamResolver({"a": 0.2}))
+
+    def test_equal_bindings_reuse_the_emitted_weights(
+        self, qaoa_like_circuit, kc_simulator, monkeypatch
+    ):
+        emits = []
+        original = WeightEmitter.emit
+
+        def counting_emit(self, resolver=None):
+            emits.append(resolver)
+            return original(self, resolver)
+
+        monkeypatch.setattr(WeightEmitter, "emit", counting_emit)
+        compiled = kc_simulator.compile_circuit(qaoa_like_circuit)
+        first, _ = compiled.base_literal_values(ParamResolver({"gamma": 0.5, "beta": 0.3}))
+        again, _ = compiled.base_literal_values(ParamResolver({"beta": 0.3, "gamma": 0.5}))
+        assert len(emits) == 1
+        assert np.array_equal(first, again)
+        compiled.base_literal_values(ParamResolver({"gamma": 0.6, "beta": 0.3}))
+        assert len(emits) == 2
+
+
+class TestCompileFrontEnd:
+    def test_compile_circuit_takes_no_optimize_option(self, qaoa_like_circuit, kc_simulator):
+        with pytest.raises(TypeError):
+            kc_simulator.compile_circuit(qaoa_like_circuit, optimize=True)
+
+    @pytest.mark.parametrize(
+        "build, removed",
+        [
+            (lambda q: [H(q[0]), Rz(0.4)(q[0]), Rz(0.5)(q[0]), CNOT(q[0], q[1])], 1),
+            (lambda q: [H(q[0]), X(q[1]), X(q[1]), CZ(q[0], q[1])], 2),
+            (lambda q: [Ry(0.3)(q[0]), CNOT(q[0], q[1]), CNOT(q[0], q[1]), Ry(0.2)(q[1])], 2),
+        ],
+        ids=["merge_rotations", "cancel_pauli_pair", "cancel_cnot_pair"],
+    )
+    def test_rewritten_circuit_compiles_to_the_same_distribution(self, build, removed, kc_simulator):
+        q = LineQubit.range(2)
+        circuit = Circuit(build(q))
+        rewrite = resolve_pipeline("auto").run(circuit)
+        assert rewrite.stats.removed == removed
+        optimized = kc_simulator.compile_circuit(rewrite.circuit)
+        reference = kc_simulator.compile_circuit(circuit)
+        np.testing.assert_allclose(
+            optimized.probabilities(), reference.probabilities(), rtol=0, atol=1e-10
+        )
 
 
 class TestSampling:
