@@ -170,7 +170,7 @@ def test_stage_gibbs_sweep(benchmark, compiled, resolver):
     ac = compiled.arithmetic_circuit
     internal = np.isin(ac.node_types, (NODE_AND, NODE_OR))
     fractions = [
-        internal[ac._cone(bit.variable)[3]].sum() / internal.sum() for bit in sampler.bits
+        internal[ac._cone(variable)[3]].sum() / internal.sum() for variable in sampler.bits
     ]
     benchmark.extra_info["chains"] = states.shape[0]
     benchmark.extra_info["free_bits"] = len(sampler.bits)

@@ -16,6 +16,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.gates import CNOT, CZ, H, X
 from ..circuits.qubits import LineQubit, Qubit
+from ..linalg.tensor_ops import bits_to_index
 
 
 #: Builders skip materializing dense ``2^n`` expected distributions beyond
@@ -65,13 +66,6 @@ class AlgorithmInstance:
 
     def __repr__(self) -> str:
         return f"AlgorithmInstance({self.name!r}, qubits={self.num_qubits})"
-
-
-def bits_to_index(bits: Sequence[int]) -> int:
-    index = 0
-    for bit in bits:
-        index = (index << 1) | (int(bit) & 1)
-    return index
 
 
 def deterministic_distribution(bits: Sequence[int]) -> np.ndarray:

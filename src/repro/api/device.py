@@ -52,7 +52,8 @@ from ..errors import (
 )
 from ..knowledge.cache import CompiledCircuitCache
 from ..linalg.tensor_ops import bits_to_index
-from ..simulator.results import SampleResult
+from ..simulator.kc_simulator import _binding_key, _encoding_fingerprint
+from ..simulator.results import SampleResult, sample_from_probabilities
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
 from .registry import REGISTRY, backend_capabilities, create_backend
@@ -199,13 +200,6 @@ def _width(qubit_order: Optional[Sequence[Qubit]]) -> Optional[int]:
     return None if qubit_order is None else len(qubit_order)
 
 
-def _resolver_key(resolver: Optional[ParamResolver]) -> Optional[Tuple]:
-    """Hashable identity of a parameter binding (for result sharing)."""
-    if resolver is None:
-        return None
-    return tuple(sorted(resolver.as_dict().items()))
-
-
 # ----------------------------------------------------------------------
 # Work-item evaluation.  Module-level so worker processes can run the
 # exact same code path as the inline loop.
@@ -233,21 +227,6 @@ def _base_row(index: int, resolver: Optional[ParamResolver], backend: str, reaso
 def _record_samples(row: Dict, samples: SampleResult) -> None:
     row["samples"] = samples
     row["counts"] = samples.bitstring_counts()
-
-
-def _sample_from_probabilities(
-    qubits: Sequence[Qubit],
-    probabilities: np.ndarray,
-    repetitions: int,
-    rng: np.random.Generator,
-) -> SampleResult:
-    """Exact multinomial draw from a dense output distribution."""
-    probabilities = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    probabilities = probabilities / probabilities.sum()
-    indices = rng.choice(len(probabilities), size=repetitions, p=probabilities)
-    # Qubit 0 is the most significant bit of a basis index.
-    shifts = np.arange(len(qubits) - 1, -1, -1)
-    return SampleResult(qubits, (indices[:, None] >> shifts) & 1)
 
 
 def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, request: RunRequest) -> Dict:
@@ -281,7 +260,7 @@ def _evaluate_kc_item(sim, compiled, index: int, resolver, reason: str, request:
             rng = sim._rng(seed)
             _record_samples(
                 row,
-                _sample_from_probabilities(
+                sample_from_probabilities(
                     compiled.qubits, probabilities, request.repetitions, rng
                 ),
             )
@@ -314,7 +293,7 @@ def _evaluate_stabilizer_item(
             ),
         )
         return row
-    key = (pos, _resolver_key(resolver))
+    key = (pos, _binding_key(resolver))
     result = shared.get(key)
     if result is None:
         result = sim.simulate(circuit, resolver, request.qubit_order, request.initial_state)
@@ -466,8 +445,6 @@ def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
 
 def persist_compile(sim, compiled, directory: str, qubit_order=None, initial_bits=None) -> None:
     """Write a compiled artifact where pool workers will look for it."""
-    from ..simulator.kc_simulator import _encoding_fingerprint
-
     disk = CompiledCircuitCache(directory=directory)
     key = sim.cache_key_for(
         compiled.circuit,

@@ -18,7 +18,10 @@ Chain ensembles
 ---------------
 The sampler runs an *ensemble* of independent chains in lockstep.  Chain
 state lives in a ``(num_chains, num_retained_variables)`` integer matrix,
-and every move is batched through the arithmetic circuit's batch axis:
+the same rows the compiled circuit's retained evidence index binds; the
+sampler's free bits and forced-bit masks are that index's own arrays, so
+the bit layout is decided in one place.  Every move is batched through the
+arithmetic circuit's batch axis:
 
 * the initial-state search redraws all still-zero-amplitude chains together;
 * one batched upward pass over the flipped states resamples one bit per
@@ -53,19 +56,6 @@ from ..simulator.results import SampleResult
 DEFAULT_MAX_CHAINS = 64
 
 
-class RetainedBit:
-    """One propositional bit of a retained variable."""
-
-    def __init__(self, node_name: str, bit_index: int, variable: int, width: int):
-        self.node_name = node_name
-        self.bit_index = bit_index  # 0 = most significant bit
-        self.variable = variable
-        self.width = width
-
-    def __repr__(self) -> str:
-        return f"RetainedBit({self.node_name!r}, bit={self.bit_index}, var={self.variable})"
-
-
 class GibbsSampler:
     """Markov-chain Monte Carlo sampler over a compiled circuit's outputs.
 
@@ -88,42 +78,20 @@ class GibbsSampler:
         self.restart_probability = float(restart_probability)
 
         self.variables = compiled.retained_variables
-        self.bits: List[RetainedBit] = []
-        for variable in self.variables:
-            for bit_index, bit_var in enumerate(variable.bit_vars):
-                if compiled.encoding.forced_value(bit_var) is None:
-                    self.bits.append(
-                        RetainedBit(variable.node_name, bit_index, bit_var, variable.width)
-                    )
-        self._column_by_name = {
-            variable.node_name: column for column, variable in enumerate(self.variables)
-        }
         self._cardinalities = np.asarray(
             [variable.cardinality for variable in self.variables], dtype=np.int64
         )
-
-        # Bit masks fixing the CNF-forced bits of each variable's value.
-        num_variables = len(self.variables)
-        self._forced_clear = np.zeros(num_variables, dtype=np.int64)
-        self._forced_set = np.zeros(num_variables, dtype=np.int64)
-        for column, variable in enumerate(self.variables):
-            for position, bit_var in enumerate(variable.bit_vars):
-                forced = compiled.encoding.forced_value(bit_var)
-                if forced is None:
-                    continue
-                shift = variable.width - 1 - position
-                self._forced_clear[column] |= 1 << shift
-                if forced:
-                    self._forced_set[column] |= 1 << shift
-
-        # Per-free-bit lookup arrays: state column and bit shift, so a batched
-        # pass can resample a *different* bit on every chain.
-        self._bit_columns = np.asarray(
-            [self._column_by_name[bit.node_name] for bit in self.bits], dtype=np.int64
-        )
-        self._bit_shifts = np.asarray(
-            [bit.width - 1 - bit.bit_index for bit in self.bits], dtype=np.int64
-        )
+        # The compiled circuit's retained-bit layout: ``bits`` holds the CNF
+        # variable of each free bit, ``_bit_columns`` / ``_bit_shifts`` its
+        # state column and bit shift (so a batched pass can resample a
+        # *different* bit on every chain), and the forced masks fix the
+        # CNF-forced bits of each variable's value.
+        index = compiled._retained_index
+        self.bits = index.free_vars
+        self._bit_columns = index.free_columns
+        self._bit_shifts = index.free_shifts
+        self._forced_clear = index.forced_clear
+        self._forced_set = index.forced_set
         self._transition_count = 0
         # Warm chain ensemble carried across sample() calls (see sample()).
         self._ensemble: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -360,10 +328,10 @@ class GibbsSampler:
         buffer, zero_rows = self._bind_states(states)
         roots = circuit.evaluate_batch(buffer, values=values)
         weights = np.abs(self._scaled(roots, zero_rows)) ** 2
-        for index, bit in enumerate(self.bits):
+        for index, variable in enumerate(self.bits.tolist()):
             column, shift = self._bit_columns[index], self._bit_shifts[index]
             before = (states[:, column] >> shift) & 1
-            roots, (cone, saved) = circuit.evaluate_cone(values, bit.variable, 1 - before, before)
+            roots, (cone, saved) = circuit.evaluate_cone(values, variable, 1 - before, before)
             bit_indices = np.full(states.shape[0], index, dtype=np.int64)
             flipped_weights = np.abs(self._scaled(roots, zero_rows)) ** 2
             self._resample(states, bit_indices, weights, flipped_weights)
@@ -424,7 +392,7 @@ class GibbsSampler:
             interval = max(1, int(round(1.0 / self.restart_probability)))
             if self._transition_count % interval == 0:
                 return self.independence_move_batch(states, weights)
-        if not self.bits:
+        if not len(self.bits):
             return weights
         bit_indices = self.rng.integers(0, len(self.bits), size=states.shape[0])
         return self._resample(states, bit_indices, weights)

@@ -12,8 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..circuits.qubits import Qubit
-from ..linalg.tensor_ops import index_to_bits
-from ..simulator.results import SampleResult
+from ..simulator.results import SampleResult, sample_from_probabilities
 
 
 def ideal_sample_from_distribution(
@@ -23,20 +22,14 @@ def ideal_sample_from_distribution(
     rng: Optional[np.random.Generator] = None,
 ) -> SampleResult:
     """Draw samples directly from an exact probability distribution."""
-    rng = rng or np.random.default_rng()
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1:
         raise ValueError("probabilities must be a flat array over basis states")
-    total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("probabilities must have positive total mass")
-    normalized = probabilities / total
-    num_qubits = len(qubits)
-    if len(normalized) != 2 ** num_qubits:
+    if len(probabilities) != 2 ** len(qubits):
         raise ValueError("distribution length does not match qubit count")
-    indices = rng.choice(len(normalized), size=num_samples, p=normalized)
-    samples = [index_to_bits(int(i), num_qubits) for i in indices]
-    return SampleResult(qubits, samples)
+    return sample_from_probabilities(
+        qubits, probabilities, num_samples, rng or np.random.default_rng()
+    )
 
 
 def ideal_sample_from_state_vector(

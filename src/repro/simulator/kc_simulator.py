@@ -62,11 +62,16 @@ def _encoding_fingerprint(encoding: CNFEncoding) -> str:
     return hashlib.sha256(repr(description).encode("utf-8")).hexdigest()
 
 
-def _binding_key(resolver: Optional[ParamResolver]) -> Optional[int]:
-    """Hashable identity of a parameter binding (``None`` for no resolver)."""
+def _binding_key(resolver: Optional[ParamResolver]) -> Optional[Tuple]:
+    """Exact identity of a parameter binding (``None`` for no resolver).
+
+    The sorted ``(symbol, value)`` tuple itself, never its hash: memos
+    compare keys with ``==``, and distinct values can share a hash
+    (``hash(-1.0) == hash(-2.0)``).
+    """
     if resolver is None:
         return None
-    return hash(tuple(sorted(resolver.as_dict().items())))
+    return tuple(sorted(resolver.as_dict().items()))
 
 
 class RetainedVariable:
@@ -87,18 +92,6 @@ class RetainedVariable:
     def width(self) -> int:
         return len(self.bit_vars)
 
-    def bit_values(self, value: int) -> List[int]:
-        """The bit pattern (MSB first) for ``value``."""
-        if not 0 <= value < 2 ** self.width:
-            raise ValueError(f"value {value} out of range for {self.node_name}")
-        return [(value >> (self.width - 1 - j)) & 1 for j in range(self.width)]
-
-    def value_from_bits(self, bits: Sequence[int]) -> int:
-        value = 0
-        for bit in bits:
-            value = (value << 1) | (int(bit) & 1)
-        return value
-
     def __repr__(self) -> str:
         return f"RetainedVariable({self.node_name!r}, kind={self.kind!r}, card={self.cardinality})"
 
@@ -112,6 +105,13 @@ class _EvidenceIndex:
     then a couple of vectorised shift/mask/assign operations instead of
     nested Python loops over variables and bits, and the same index arrays
     serve whole batches of assignments at once.
+
+    This is the one retained-bit layout: free bit ``i`` is CNF variable
+    ``free_vars[i]``, stored in column ``free_columns[i]`` of an assignment
+    at bit ``free_shifts[i]`` (MSB first).  ``forced_clear`` masks each
+    column's forced bits and ``forced_set`` those forced to 1, so a value
+    ``v`` of column ``c`` is forced-consistent iff
+    ``v & forced_clear[c] == forced_set[c]``.
     """
 
     def __init__(self, variables: Sequence[RetainedVariable], encoding: CNFEncoding):
@@ -142,22 +142,12 @@ class _EvidenceIndex:
         self.forced_columns = np.asarray(forced_columns, dtype=np.int64)
         self.forced_shifts = np.asarray(forced_shifts, dtype=np.int64)
         self.forced_bits = np.asarray(forced_bits, dtype=np.int64)
-
-    def apply(self, literal_values: np.ndarray, values: np.ndarray) -> bool:
-        """Bind one assignment (``values`` has one entry per variable).
-
-        Returns ``True`` if the assignment contradicts a forced bit.
-        """
-        if np.any((values < 0) | (values >= self.limits)):
-            raise ValueError("retained-variable value out of range")
-        if len(self.free_vars):
-            bits = (values[self.free_columns] >> self.free_shifts) & 1
-            literal_values[self.free_vars, 1] = bits
-            literal_values[self.free_vars, 0] = 1 - bits
-        if len(self.forced_columns):
-            observed = (values[self.forced_columns] >> self.forced_shifts) & 1
-            return bool(np.any(observed != self.forced_bits))
-        return False
+        self.forced_clear = np.zeros(self.num_variables, dtype=np.int64)
+        self.forced_set = np.zeros(self.num_variables, dtype=np.int64)
+        np.bitwise_or.at(self.forced_clear, self.forced_columns, 1 << self.forced_shifts)
+        np.bitwise_or.at(
+            self.forced_set, self.forced_columns, self.forced_bits << self.forced_shifts
+        )
 
     def apply_batch(self, literal_values: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Bind a ``(B, num_variables)`` assignment batch.
@@ -214,16 +204,15 @@ class CompiledCircuit:
 
         # Index arrays for vectorised weight/evidence binding (built once).
         self._weight_vars = np.asarray(encoding.weight_variables, dtype=np.int64)
-        self._final_index = _EvidenceIndex(self.final_variables, encoding)
-        self._noise_index = _EvidenceIndex(self.noise_variables, encoding)
         self._retained_index = _EvidenceIndex(self.retained_variables, encoding)
         self._index_by_name: Dict[str, _EvidenceIndex] = {
             variable.node_name: _EvidenceIndex([variable], encoding)
             for variable in self.retained_variables
         }
 
-        # Per-resolver cache: (key, bound literal template, constant factor).
-        self._weights_cache: Optional[Tuple[Optional[int], np.ndarray, complex]] = None
+        # Per-resolver cache: (exact binding key, bound literal template,
+        # constant factor).
+        self._weights_cache: Optional[Tuple[Optional[Tuple], np.ndarray, complex]] = None
         # Canonical-parameter translation for rebound views (see rebound_for):
         # (canonical symbol name, original ParameterValue) pairs, or None when
         # this object's circuit is the compiled template itself.
@@ -298,7 +287,7 @@ class CompiledCircuit:
         """
         return bind_canonical_parameters(self._canonical_bindings or (), resolver)
 
-    def _resolver_key(self, resolver: Optional[ParamResolver]) -> Optional[int]:
+    def _resolver_key(self, resolver: Optional[ParamResolver]) -> Optional[Tuple]:
         return _binding_key(self.effective_resolver(resolver))
 
     def _base_template(self, resolver: Optional[ParamResolver] = None) -> Tuple[np.ndarray, complex]:
@@ -348,18 +337,20 @@ class CompiledCircuit:
     ) -> Optional[complex]:
         """Set bit entries for ``assignment`` (node name -> value).
 
-        Returns ``0j`` immediately if the assignment contradicts a literal
-        forced during CNF simplification (the amplitude is exactly zero) and
-        ``None`` otherwise.
+        Names that are not retained variables are skipped; a value out of
+        range raises ``ValueError``.  Returns ``0j`` if the assignment
+        contradicts a literal forced during CNF simplification (the amplitude
+        is exactly zero) and ``None`` otherwise.  Each variable is a one-row
+        call of the batched path.
         """
         contradiction = False
+        literal_batch = literal_values[np.newaxis]
         for name, observed in assignment.items():
             index = self._index_by_name.get(name)
             if index is None:
                 continue
-            contradiction |= index.apply(
-                literal_values, np.asarray([int(observed)], dtype=np.int64)
-            )
+            values = np.asarray([[int(observed)]], dtype=np.int64)
+            contradiction |= bool(index.apply_batch(literal_batch, values)[0])
         return 0j if contradiction else None
 
     def apply_evidence_batch(
@@ -408,15 +399,14 @@ class CompiledCircuit:
         noise_branches: Optional[Sequence[int]] = None,
         resolver: Optional[ParamResolver] = None,
     ) -> complex:
-        """Amplitude of the output bitstring (given noise branch outcomes, if noisy)."""
-        if self.noise_variables and noise_branches is None:
-            raise ValueError("noisy circuit: a noise branch assignment is required for amplitudes")
-        literal_values, constant = self.base_literal_values(resolver)
-        assignment = self.assignment_for(bits, noise_branches)
-        shortcut = self.apply_evidence(literal_values, assignment)
-        if shortcut is not None:
-            return shortcut
-        return self.arithmetic_circuit.evaluate(literal_values) * constant
+        """Amplitude of the output bitstring (given noise branch outcomes, if noisy).
+
+        A one-row call of :meth:`amplitudes`.
+        """
+        if len(bits) != self.num_qubits:
+            raise ValueError("bits length must equal the number of qubits")
+        branches = None if noise_branches is None else [noise_branches]
+        return complex(self.amplitudes([bits], branches, resolver)[0])
 
     def amplitudes(
         self,
@@ -447,16 +437,14 @@ class CompiledCircuit:
                 )
             if noise_branches.shape != (total, len(self.noise_variables)):
                 raise ValueError("noise_branches must have shape (B, num_noise_channels)")
+            # Retained-variable order: final qubits, then noise selectors.
+            assignments = np.hstack([assignments, noise_branches])
         amplitudes = np.empty(total, dtype=complex)
         chunk_size = max(1, int(chunk_size))
         for start in range(0, total, chunk_size):
             stop = min(total, start + chunk_size)
             literal_batch, constant = self.base_literal_values_batch(stop - start, resolver)
-            zero_rows = self._final_index.apply_batch(literal_batch, assignments[start:stop])
-            if noise_branches is not None:
-                zero_rows = zero_rows | self._noise_index.apply_batch(
-                    literal_batch, noise_branches[start:stop]
-                )
+            zero_rows = self._retained_index.apply_batch(literal_batch, assignments[start:stop])
             roots = self.arithmetic_circuit.evaluate_batch(literal_batch)
             roots *= constant
             roots[zero_rows] = 0.0
@@ -779,15 +767,7 @@ class KnowledgeCompilationSimulator(Simulator):
         """
         from ..sampling.gibbs import GibbsSampler
 
-        if isinstance(circuit, CompiledCircuit):
-            if initial_state != 0:
-                raise ValueError(
-                    "a CompiledCircuit fixes its initial state at compile time; "
-                    "pass initial_bits to compile_circuit instead of initial_state"
-                )
-            compiled = circuit
-        else:
-            compiled = self._compiled_with_initial_state(circuit, qubit_order, initial_state)
+        compiled = self._compiled_with_initial_state(circuit, qubit_order, initial_state)
         if seed is not None:
             sampler = GibbsSampler(compiled, resolver=resolver, rng=self._rng(seed))
         else:

@@ -15,8 +15,10 @@ import numpy as np
 
 from ..circuits.qubits import Qubit
 from ..linalg.tensor_ops import (
+    bits_to_index,
     density_measurement_probabilities,
     index_to_bits,
+    indices_to_bitstrings,
     measurement_probabilities,
 )
 
@@ -98,6 +100,30 @@ def _unpack_samples(qubits: Sequence[Qubit], packed: bytes, shots: int) -> Sampl
     return SampleResult(qubits, bits)
 
 
+def sample_from_probabilities(
+    qubits: Sequence[Qubit],
+    probabilities: np.ndarray,
+    repetitions: int,
+    rng: np.random.Generator,
+) -> SampleResult:
+    """Draw ``repetitions`` shots from a dense output distribution.
+
+    Negative entries (round-off) are clipped to zero and the rest
+    normalized; one multinomial ``rng.choice`` picks the basis indices.
+
+    Raises
+    ------
+    ValueError
+        If the clipped distribution has no positive mass.
+    """
+    probabilities = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    total = probabilities.sum()
+    if not total > 0:
+        raise ValueError("probabilities must have positive total mass")
+    indices = rng.choice(len(probabilities), size=repetitions, p=probabilities / total)
+    return SampleResult(qubits, indices_to_bitstrings(indices, len(qubits)))
+
+
 class StateVectorResult:
     """Final pure state of an ideal simulation."""
 
@@ -117,21 +143,15 @@ class StateVectorResult:
 
     def amplitude(self, bits: Sequence[int]) -> complex:
         """Amplitude of the given bitstring (qubit order as in ``self.qubits``)."""
-        index = 0
-        for bit in bits:
-            index = (index << 1) | (int(bit) & 1)
-        return complex(self.state_vector[index])
+        return complex(self.state_vector[bits_to_index(bits)])
 
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.state_vector, self.state_vector.conj())
 
     def sample(self, repetitions: int, rng: Optional[np.random.Generator] = None) -> SampleResult:
-        rng = rng or np.random.default_rng()
-        probabilities = self.probabilities()
-        probabilities = probabilities / probabilities.sum()
-        indices = rng.choice(len(probabilities), size=repetitions, p=probabilities)
-        samples = [index_to_bits(int(i), self.num_qubits) for i in indices]
-        return SampleResult(self.qubits, samples)
+        return sample_from_probabilities(
+            self.qubits, self.probabilities(), repetitions, rng or np.random.default_rng()
+        )
 
     def dirac_notation(self, decimals: int = 3, threshold: float = 1e-6) -> str:
         """Human-readable superposition string such as ``0.707|00> + 0.707|11>``."""
@@ -167,9 +187,7 @@ class DensityMatrixResult:
         return density_measurement_probabilities(self.density_matrix)
 
     def probability_of(self, bits: Sequence[int]) -> float:
-        index = 0
-        for bit in bits:
-            index = (index << 1) | (int(bit) & 1)
+        index = bits_to_index(bits)
         return float(np.real(self.density_matrix[index, index]))
 
     def purity(self) -> float:
@@ -177,15 +195,9 @@ class DensityMatrixResult:
         return float(np.real(np.trace(self.density_matrix @ self.density_matrix)))
 
     def sample(self, repetitions: int, rng: Optional[np.random.Generator] = None) -> SampleResult:
-        rng = rng or np.random.default_rng()
-        probabilities = self.probabilities()
-        total = probabilities.sum()
-        if total <= 0:
-            raise ValueError("density matrix has non-positive trace")
-        probabilities = probabilities / total
-        indices = rng.choice(len(probabilities), size=repetitions, p=probabilities)
-        samples = [index_to_bits(int(i), self.num_qubits) for i in indices]
-        return SampleResult(self.qubits, samples)
+        return sample_from_probabilities(
+            self.qubits, self.probabilities(), repetitions, rng or np.random.default_rng()
+        )
 
     def __repr__(self) -> str:
         return f"DensityMatrixResult(qubits={self.num_qubits})"

@@ -68,7 +68,7 @@ def _derivative_conditionals(sampler, states, bit_indices):
     ac = sampler.compiled.arithmetic_circuit
     _, derivatives = ac.evaluate_with_derivatives_batch(buffer)
     rows = np.arange(states.shape[0])
-    variables = np.asarray([sampler.bits[index].variable for index in bit_indices])
+    variables = np.asarray([sampler.bits[index] for index in bit_indices])
     conditionals = []
     for value in (1, 0):
         weight = np.abs(derivatives[rows, variables, value] * sampler._constant) ** 2
@@ -298,6 +298,64 @@ class TestBatchedAmplitudes:
         np.testing.assert_allclose(probabilities, diagonal, atol=1e-10)
 
 
+def _full_assignments(compiled):
+    """Every (bits, branches) pair of a compiled circuit's retained variables."""
+    cardinalities = [variable.cardinality for variable in compiled.noise_variables]
+    for bits in itertools.product([0, 1], repeat=compiled.num_qubits):
+        for branches in itertools.product(*[range(c) for c in cardinalities]):
+            yield list(bits), list(branches)
+
+
+class TestScalarEvidence:
+    """Scalar queries are one-row calls of the batched evidence path."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
+    )
+    def test_amplitude_is_one_row_of_amplitudes(self, fixture, request):
+        compiled = request.getfixturevalue(fixture)
+        for bits, branches in _full_assignments(compiled):
+            scalar = compiled.amplitude(bits, branches)
+            batched = compiled.amplitudes([bits], [branches])[0]
+            assert np.array_equal(scalar, batched)
+
+    @pytest.mark.parametrize(
+        "fixture", ["compiled_ideal", "compiled_noisy", "compiled_forced"]
+    )
+    def test_apply_evidence_writes_the_batch_row(self, fixture, request):
+        compiled = request.getfixturevalue(fixture)
+        for bits, branches in _full_assignments(compiled):
+            literal_values, _ = compiled.base_literal_values()
+            shortcut = compiled.apply_evidence(
+                literal_values, compiled.assignment_for(bits, branches)
+            )
+            literal_batch, _ = compiled.base_literal_values_batch(1)
+            zero_rows = compiled.apply_evidence_batch(literal_batch, [bits + branches])
+            assert np.array_equal(literal_values, literal_batch[0])
+            assert shortcut == (0j if zero_rows[0] else None)
+
+    def test_contradicting_a_forced_bit_returns_zero(self, compiled_forced):
+        literal_values, _ = compiled_forced.base_literal_values()
+        # The idle second qubit's final bit is forced to 0.
+        assignment = compiled_forced.assignment_for([0, 1])
+        assert compiled_forced.apply_evidence(literal_values, assignment) == 0j
+        assignment = compiled_forced.assignment_for([1, 0])
+        assert compiled_forced.apply_evidence(literal_values, assignment) is None
+
+    def test_names_that_are_not_retained_are_skipped(self, compiled_ideal):
+        literal_values, _ = compiled_ideal.base_literal_values()
+        before = literal_values.copy()
+        assert compiled_ideal.apply_evidence(literal_values, {"no such node": 1}) is None
+        assert np.array_equal(literal_values, before)
+
+    def test_out_of_range_value_raises(self, compiled_ideal):
+        literal_values, _ = compiled_ideal.base_literal_values()
+        assignment = compiled_ideal.assignment_for([0, 0, 0])
+        assignment[compiled_ideal.final_variables[0].node_name] = 2
+        with pytest.raises(ValueError):
+            compiled_ideal.apply_evidence(literal_values, assignment)
+
+
 class TestFlipConditionals:
     """A Gibbs move's conditional from one flipped upward pass, not a differential pass."""
 
@@ -363,7 +421,7 @@ class TestSweepCones:
         assert zero_rows.any() == (fixture == "compiled_forced")
         cached = np.empty((ac.num_nodes, states.shape[0]), dtype=complex)
         ac.evaluate_batch(buffer, values=cached)
-        for index, bit in enumerate(sampler.bits):
+        for index, variable in enumerate(sampler.bits):
             column, shift = sampler._bit_columns[index], sampler._bit_shifts[index]
             old_bits = (states[:, column] >> shift) & 1
             flipped = states.copy()
@@ -374,7 +432,7 @@ class TestSweepCones:
 
             values = cached.copy()
             roots, (cone, old_values) = ac.evaluate_cone(
-                values, bit.variable, 1 - old_bits, old_bits
+                values, variable, 1 - old_bits, old_bits
             )
             np.testing.assert_array_equal(sampler._scaled(roots, zero_rows), expected)
             np.testing.assert_array_equal(values, fresh)
@@ -426,8 +484,8 @@ class TestSweepCones:
     def test_cone_plans_stay_out_of_pickles(self, compiled_noisy):
         ac = compiled_noisy.arithmetic_circuit
         before = pickle.dumps(ac)
-        for bit in GibbsSampler(compiled_noisy).bits:
-            ac._cone(bit.variable)
+        for variable in GibbsSampler(compiled_noisy).bits:
+            ac._cone(variable)
         assert ac._cones
         assert pickle.dumps(ac) == before
         assert pickle.loads(before)._cones == {}

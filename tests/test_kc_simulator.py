@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import device
 from repro.circuits import (
     CNOT,
     AsymmetricDepolarizingChannel,
@@ -273,8 +274,50 @@ class TestBindingKey:
         backward = ParamResolver({"b": 0.2, "a": 0.1})
         assert _binding_key(forward) == _binding_key(backward)
 
-    def test_key_distinguishes_values(self):
-        assert _binding_key(ParamResolver({"a": 0.1})) != _binding_key(ParamResolver({"a": 0.2}))
+    # hash(-1.0) == hash(-2.0) and hash(-1) == hash(-2): the key must be the
+    # binding itself, not its hash.
+    @pytest.mark.parametrize("first, second", [(0.1, 0.2), (-1.0, -2.0), (-1, -2)])
+    def test_key_distinguishes_values(self, first, second):
+        assert _binding_key(ParamResolver({"a": first})) != _binding_key(
+            ParamResolver({"a": second})
+        )
+
+    @staticmethod
+    def _rx_circuit():
+        return Circuit([Rx(Symbol("theta")).on(LineQubit(0))])
+
+    @staticmethod
+    def _exact(circuit, theta):
+        state = StateVectorSimulator().simulate(circuit, ParamResolver({"theta": theta}))
+        return np.abs(state.state_vector) ** 2
+
+    def test_colliding_bindings_get_their_own_weights(self):
+        circuit = self._rx_circuit()
+        compiled = KnowledgeCompilationSimulator(cache=None).compile_circuit(circuit)
+        for theta in (-1.0, -2.0):
+            probabilities = compiled.probabilities(ParamResolver({"theta": theta}))
+            np.testing.assert_allclose(probabilities, self._exact(circuit, theta), atol=1e-10)
+
+    def test_device_run_over_colliding_points(self):
+        circuit = self._rx_circuit()
+        result = device("knowledge_compilation").run(
+            circuit, params=[{"theta": -1.0}, {"theta": -2.0}], observables=["probabilities"]
+        ).result()
+        for theta, row in zip((-1.0, -2.0), result):
+            np.testing.assert_allclose(
+                row["probabilities"], self._exact(circuit, theta), atol=1e-10
+            )
+
+    def test_warm_sampler_rebinds_a_colliding_point(self):
+        simulator = KnowledgeCompilationSimulator(cache=None)
+        compiled = simulator.compile_circuit(self._rx_circuit())
+        simulator.sample(compiled, 64, resolver=ParamResolver({"theta": -1.0}))
+        simulator.sample(compiled, 64, resolver=ParamResolver({"theta": -2.0}))
+        sampler = simulator._sampler_cache[id(compiled)]
+        # A separate compile, so no memo of the sampled one answers.
+        fresh = simulator.compile_circuit(self._rx_circuit())
+        expected, _ = fresh.base_literal_values(ParamResolver({"theta": -2.0}))
+        assert np.array_equal(sampler._base_literal_values, expected)
 
     def test_equal_bindings_reuse_the_emitted_weights(
         self, qaoa_like_circuit, kc_simulator, monkeypatch

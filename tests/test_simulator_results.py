@@ -5,8 +5,14 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.circuits import GridQubit, LineQubit, NamedQubit
+from repro import device
+from repro.circuits import CNOT, Circuit, GridQubit, H, LineQubit, NamedQubit, Ry, depolarize
+from repro.densitymatrix import DensityMatrixSimulator
+from repro.linalg.tensor_ops import index_to_bits
+from repro.sampling import ideal_sample_from_distribution
 from repro.simulator import DensityMatrixResult, SampleResult, StateVectorResult
+from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+from repro.simulator.results import sample_from_probabilities
 
 
 class TestSampleResult:
@@ -112,3 +118,72 @@ class TestDensityMatrixResult:
         samples = result.sample(2000, np.random.default_rng(1))
         ones = samples.bitstring_counts().get("1", 0) / 2000
         assert 0.74 < ones < 0.86
+
+
+def _reference_draw(probabilities, repetitions, seed):
+    """The per-backend dense draw every sampler used before sharing one."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    probabilities = probabilities / probabilities.sum()
+    rng = np.random.default_rng(seed)
+    indices = rng.choice(len(probabilities), size=repetitions, p=probabilities)
+    num_qubits = int(np.log2(len(probabilities)))
+    return [index_to_bits(int(i), num_qubits) for i in indices]
+
+
+class TestDenseDraw:
+    """One dense draw: seeded shots equal the reference draw, zero shots included."""
+
+    REPETITIONS = [0, 1, 257]
+
+    @staticmethod
+    def _circuit():
+        q = LineQubit.range(3)
+        return Circuit([H(q[0]), Ry(0.7)(q[1]), CNOT(q[0], q[2]), Ry(1.3)(q[2])])
+
+    @pytest.mark.parametrize("repetitions", REPETITIONS)
+    def test_state_vector_sample(self, repetitions):
+        rng = np.random.default_rng(3)
+        state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        result = StateVectorResult(LineQubit.range(3), state / np.linalg.norm(state))
+        samples = result.sample(repetitions, np.random.default_rng(11))
+        assert samples.samples == _reference_draw(result.probabilities(), repetitions, 11)
+
+    @pytest.mark.parametrize("repetitions", REPETITIONS)
+    def test_density_matrix_sample(self, repetitions):
+        circuit = self._circuit().with_noise(lambda: depolarize(0.05))
+        result = DensityMatrixSimulator().simulate(circuit)
+        samples = result.sample(repetitions, np.random.default_rng(12))
+        assert samples.samples == _reference_draw(result.probabilities(), repetitions, 12)
+
+    @pytest.mark.parametrize("repetitions", REPETITIONS)
+    def test_ideal_sample_from_distribution(self, repetitions):
+        weights = np.random.default_rng(4).random(8)  # unnormalized
+        samples = ideal_sample_from_distribution(
+            weights, repetitions, LineQubit.range(3), np.random.default_rng(13)
+        )
+        assert samples.samples == _reference_draw(weights, repetitions, 13)
+
+    @pytest.mark.parametrize("repetitions", [1, 257])
+    def test_kc_exact_sampling_device_run(self, repetitions):
+        circuit = self._circuit()
+        result = device("knowledge_compilation").run(
+            circuit, repetitions=repetitions, seed=14, sampling="exact"
+        ).result()
+        probabilities = (
+            KnowledgeCompilationSimulator(cache=None).compile_circuit(circuit).probabilities()
+        )
+        reference = _reference_draw(np.clip(probabilities, 0.0, None), repetitions, 14)
+        assert result[0]["samples"].samples == reference
+
+    def test_negative_round_off_is_clipped(self):
+        draws = sample_from_probabilities(
+            LineQubit.range(1), np.array([-1e-18, 1.0]), 5, np.random.default_rng(0)
+        )
+        assert draws.bitstring_counts() == {"1": 5}
+
+    @pytest.mark.parametrize("probabilities", [[0.0, 0.0], [-1.0, 0.0]])
+    def test_no_positive_mass_raises(self, probabilities):
+        with pytest.raises(ValueError):
+            sample_from_probabilities(
+                LineQubit.range(1), np.array(probabilities), 5, np.random.default_rng(0)
+            )

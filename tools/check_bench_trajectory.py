@@ -15,10 +15,10 @@ never disableable to 0.  Local measurements vs floors:
 ===========================  ============  =======================
 metric                        local         floor (CI headroom)
 ===========================  ============  =======================
-api_speedup                   ~68x          >= 3.0   (~20x slack)
-sweep_speedup                 ~25x          >= 3.0   (~8x slack)
-stabilizer_seconds            ~0.65s        <= 2.0   (~3x slack)
-optimizer_speedup             ~3.6x         >= 1.25  (~3x slack)
+api_speedup                   ~19x          >= 3.0   (~6x slack)
+sweep_speedup                 ~74x          >= 3.0   (~25x slack)
+stabilizer_seconds            ~0.12s        <= 2.0   (~17x slack)
+optimizer_speedup             ~2.2x         >= 1.25  (~1.8x slack)
 robustness_overhead           ~0.07         <= 0.60  (~9x slack)
 ===========================  ============  =======================
 
