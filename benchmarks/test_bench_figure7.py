@@ -11,9 +11,10 @@ import pytest
 
 from repro.circuits import depolarize
 from repro.densitymatrix import DensityMatrixSimulator
-from repro.sampling import empirical_distribution, ideal_sample_from_distribution, kl_divergence
+from repro.sampling import empirical_distribution, kl_divergence
 from repro.sampling.gibbs import GibbsSampler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+from repro.simulator.results import sample_from_probabilities
 from repro.statevector import StateVectorSimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
 
@@ -55,7 +56,7 @@ def test_ideal_qaoa_direct_sampling_error(benchmark):
     qubits = ansatz.qubits
 
     def draw():
-        return ideal_sample_from_distribution(exact, NUM_SAMPLES, qubits, np.random.default_rng(5))
+        return sample_from_probabilities(qubits, exact, NUM_SAMPLES, np.random.default_rng(5))
 
     samples = benchmark(draw)
     empirical = empirical_distribution(samples.samples, len(qubits))

@@ -66,7 +66,6 @@ from .circuits import (
     measure,
 )
 from .circuits.passes import (
-    CliffordPrefixPass,
     CommutationPass,
     FusionPass,
     LightConePass,
@@ -77,7 +76,6 @@ from .circuits.passes import (
     RewriteStats,
     default_pipeline,
     optimize_circuit,
-    split_clifford_prefix,
 )
 from .api import (
     BackendCapabilities,
@@ -177,10 +175,8 @@ __all__ = [
     "LightConePass",
     "FusionPass",
     "CommutationPass",
-    "CliffordPrefixPass",
     "default_pipeline",
     "optimize_circuit",
-    "split_clifford_prefix",
     "device",
     "Device",
     "Job",

@@ -17,13 +17,11 @@ from .base import (
     optimize_circuit,
     resolve_pipeline,
 )
-from .clifford_prefix import CliffordPrefixPass, split_clifford_prefix
 from .commutation import CommutationPass
 from .fusion import FusionPass
 from .light_cone import LightConePass
 
 __all__ = [
-    "CliffordPrefixPass",
     "CommutationPass",
     "FusionPass",
     "LightConePass",
@@ -36,5 +34,4 @@ __all__ = [
     "default_pipeline",
     "optimize_circuit",
     "resolve_pipeline",
-    "split_clifford_prefix",
 ]

@@ -13,8 +13,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..sampling import empirical_distribution, ideal_sample_from_distribution
+from ..sampling import empirical_distribution
 from ..simulator.kc_simulator import KnowledgeCompilationSimulator
+from ..simulator.results import sample_from_probabilities
 from ..statevector import StateVectorSimulator
 from ..variational import QAOACircuit, random_regular_maxcut
 from .common import ExperimentResult
@@ -38,8 +39,8 @@ def run(
     exact_probabilities = np.abs(exact_state) ** 2
 
     rng = np.random.default_rng(seed)
-    ideal_samples = ideal_sample_from_distribution(
-        exact_probabilities, num_samples, ansatz.qubits, rng
+    ideal_samples = sample_from_probabilities(
+        ansatz.qubits, exact_probabilities, num_samples, rng
     )
     ideal_empirical = ideal_samples.empirical_distribution()
 

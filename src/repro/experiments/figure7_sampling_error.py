@@ -15,9 +15,10 @@ import numpy as np
 
 from ..circuits import depolarize
 from ..densitymatrix import DensityMatrixSimulator
-from ..sampling import empirical_distribution, ideal_sample_from_distribution, kl_divergence
+from ..sampling import empirical_distribution, kl_divergence
 from ..sampling.gibbs import GibbsSampler
 from ..simulator.kc_simulator import KnowledgeCompilationSimulator
+from ..simulator.results import sample_from_probabilities
 from ..statevector import StateVectorSimulator
 from ..variational import QAOACircuit, random_regular_maxcut
 from .common import ExperimentResult
@@ -64,7 +65,7 @@ def run(
     sampler = GibbsSampler(compiled, rng=np.random.default_rng(seed + 1))
 
     max_samples = max(sample_counts)
-    ideal_samples = ideal_sample_from_distribution(exact, max_samples, ansatz.qubits, rng).samples
+    ideal_samples = sample_from_probabilities(ansatz.qubits, exact, max_samples, rng).samples
     gibbs_samples = sampler.sample(max_samples, burn_in_sweeps=4, num_chains=num_chains).samples
 
     rows: List[Dict] = []

@@ -1,7 +1,6 @@
-"""Sampling utilities: Gibbs MCMC over compiled circuits, ideal sampling, metrics."""
+"""Sampling utilities: Gibbs MCMC over compiled circuits and distribution metrics."""
 
 from .gibbs import DEFAULT_MAX_CHAINS, GibbsSampler
-from .ideal import ideal_sample_from_distribution, ideal_sample_from_state_vector
 from .metrics import (
     chi_squared_statistic,
     empirical_distribution,
@@ -13,8 +12,6 @@ from .metrics import (
 __all__ = [
     "DEFAULT_MAX_CHAINS",
     "GibbsSampler",
-    "ideal_sample_from_distribution",
-    "ideal_sample_from_state_vector",
     "kl_divergence",
     "reverse_kl_divergence",
     "total_variation_distance",

@@ -121,9 +121,7 @@ class GibbsSampler:
         # template's canonical symbols; the proposal-weight table reads below
         # address the template's nodes directly, so they need the translated
         # resolver (plain compiles translate to the identity).
-        translate = getattr(self.compiled, "effective_resolver", None)
-        if translate is not None:
-            resolver = translate(resolver)
+        resolver = self.compiled.effective_resolver(resolver)
 
         # Independence-move proposal: per-variable categorical weights over the
         # forced-consistent values.  Final qubits are proposed uniformly; noise

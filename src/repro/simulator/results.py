@@ -114,9 +114,16 @@ def sample_from_probabilities(
     Raises
     ------
     ValueError
-        If the clipped distribution has no positive mass.
+        If ``probabilities`` is not a flat vector of length
+        ``2 ** len(qubits)``, or the clipped distribution has no positive
+        mass.
     """
-    probabilities = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    probabilities = np.asarray(probabilities, dtype=float)
+    if probabilities.ndim != 1:
+        raise ValueError("probabilities must be a flat array over basis states")
+    if len(probabilities) != 2 ** len(qubits):
+        raise ValueError("distribution length does not match qubit count")
+    probabilities = np.clip(probabilities, 0.0, None)
     total = probabilities.sum()
     if not total > 0:
         raise ValueError("probabilities must have positive total mass")

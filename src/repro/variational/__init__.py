@@ -1,10 +1,9 @@
 """Variational workloads: QAOA Max-Cut, VQE 2D Ising, classical optimizers."""
 
-from .gradient import CompiledObjective, gradient_descent, parameter_shift_gradient
 from .ising import IsingModel2D, square_grid_ising
 from .loop import VariationalLoop, VariationalRun
 from .maxcut import MaxCutProblem, random_regular_maxcut, ring_maxcut
-from .optimizer import NelderMeadOptimizer, OptimizationResult, RandomSearchOptimizer
+from .optimizer import NelderMeadOptimizer, OptimizationResult
 from .qaoa import QAOACircuit, qaoa_maxcut_circuit
 from .vqe import VQECircuit
 
@@ -18,11 +17,7 @@ __all__ = [
     "qaoa_maxcut_circuit",
     "VQECircuit",
     "NelderMeadOptimizer",
-    "RandomSearchOptimizer",
     "OptimizationResult",
     "VariationalLoop",
     "VariationalRun",
-    "CompiledObjective",
-    "parameter_shift_gradient",
-    "gradient_descent",
 ]

@@ -3,12 +3,12 @@
 The paper's hybrid algorithms use the Nelder–Mead simplex method on the
 classical side.  We implement it from scratch (no dependence on
 ``scipy.optimize``) so the full variational loop is reproducible inside this
-library, plus a simple random-search baseline used in tests.
+library.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,28 +126,3 @@ class NelderMeadOptimizer:
             simplex[best_index], values[best_index], evaluations, history, converged
         )
 
-
-class RandomSearchOptimizer:
-    """Uniform random search within a box; a baseline and test utility."""
-
-    def __init__(self, num_samples: int = 64, bounds: Tuple[float, float] = (0.0, np.pi), seed: Optional[int] = None):
-        self.num_samples = num_samples
-        self.bounds = bounds
-        self.rng = np.random.default_rng(seed)
-
-    def minimize(self, objective: Objective, initial: Sequence[float]) -> OptimizationResult:
-        initial = np.asarray(initial, dtype=float)
-        dimension = len(initial)
-        history: List[Tuple[np.ndarray, float]] = []
-        best_point = initial.copy()
-        best_value = float(objective(initial))
-        history.append((best_point.copy(), best_value))
-        low, high = self.bounds
-        for _ in range(self.num_samples):
-            candidate = self.rng.uniform(low, high, size=dimension)
-            value = float(objective(candidate))
-            history.append((candidate.copy(), value))
-            if value < best_value:
-                best_value = value
-                best_point = candidate
-        return OptimizationResult(best_point, best_value, len(history), history, True)

@@ -15,7 +15,6 @@ import pytest
 
 from repro import device, select_backend
 from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, T, X, amplitude_damp, depolarize, phase_damp
-from repro.circuits.noise_model import NoiseModel
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.sampling import total_variation_distance
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
@@ -30,6 +29,16 @@ def _noisy_qaoa(num_qubits: int, probability: float = 0.02, seed: int = 5) -> Ci
     ansatz = QAOACircuit(random_regular_maxcut(num_qubits, seed=seed), iterations=1)
     circuit = ansatz.circuit.resolve_parameters(ansatz.resolver([0.6, 0.4]))
     return circuit.with_noise(lambda: depolarize(probability))
+
+
+def _gate_class_noise_bell() -> Circuit:
+    """A Bell circuit with 1% depolarizing after H and 5% after CNOT, per touched qubit."""
+    q = LineQubit.range(2)
+    circuit = Circuit([H(q[0])])
+    circuit.append(depolarize(0.01).on(q[0]))
+    circuit.append(CNOT(q[0], q[1]))
+    circuit.append([depolarize(0.05).on(q[0]), depolarize(0.05).on(q[1])])
+    return circuit
 
 
 def _damped_circuit() -> Circuit:
@@ -173,6 +182,16 @@ class TestHybridDispatch:
         assert total_variation_distance(exact, samples.empirical_distribution()) < 0.05
 
 
+class TestNoisyExactParity:
+    """Knowledge compilation is exact on noisy circuits, like the density matrix."""
+
+    def test_kc_matches_density_matrix_on_gate_class_noise(self):
+        noisy = _gate_class_noise_bell()
+        kc_rho = KnowledgeCompilationSimulator(seed=1).simulate_density_matrix(noisy).density_matrix
+        dm_rho = DensityMatrixSimulator().simulate(noisy).density_matrix
+        assert np.allclose(kc_rho, dm_rho, atol=1e-9)
+
+
 class TestNoisyTrajectoryParity:
     """Trajectory averages converge to the dense density-matrix ground truth."""
 
@@ -220,9 +239,7 @@ class TestNoisyTrajectoryParity:
         assert total_variation_distance(batched, looped) < 0.05
 
     def test_noise_model_circuit_parity(self):
-        q = LineQubit.range(2)
-        circuit = Circuit([H(q[0]), CNOT(q[0], q[1])])
-        noisy = NoiseModel.depolarizing(0.01, 0.05).apply(circuit)
+        noisy = _gate_class_noise_bell()
         exact = DensityMatrixSimulator().simulate(noisy).density_matrix
         estimate = TrajectorySimulator(seed=17).simulate(
             noisy, num_trajectories=4000

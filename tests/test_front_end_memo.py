@@ -422,10 +422,22 @@ def test_unkeyable_circuits_are_never_stored(operation):
     assert optimize_circuit(circuit).circuit is not optimized.circuit
 
 
+class _StatefulPass(passes_base.Pass):
+    """A user pass whose instance state could change between runs."""
+
+    name = "stateful"
+
+    def __init__(self, resolver=None):
+        self.resolver = resolver
+
+    def rewrite(self, circuit):
+        return circuit, 0
+
+
 def test_pipeline_with_stateful_pass_is_not_memoized():
-    from repro.circuits.passes import CliffordPrefixPass, PassPipeline
+    from repro.circuits.passes import PassPipeline
 
     q = LineQubit.range(2)
-    pipeline = PassPipeline([CliffordPrefixPass()])
+    pipeline = PassPipeline([_StatefulPass()])
     pipeline.run(Circuit([H(q[0]), Rx(0.3)(q[1])]))
     assert not passes_base._PIPELINE_MEMO

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.variational import NelderMeadOptimizer, OptimizationResult, RandomSearchOptimizer
+from repro.variational import NelderMeadOptimizer, OptimizationResult
 
 
 def quadratic(x):
@@ -47,15 +47,3 @@ class TestNelderMead:
         result = OptimizationResult(np.array([1.0]), 0.5, 10, [], True)
         assert "0.5" in repr(result)
 
-
-class TestRandomSearch:
-    def test_improves_over_initial(self):
-        optimizer = RandomSearchOptimizer(num_samples=200, bounds=(-4.0, 4.0), seed=3)
-        result = optimizer.minimize(quadratic, [4.0, 4.0])
-        assert result.best_value < quadratic([4.0, 4.0])
-
-    def test_respects_bounds(self):
-        optimizer = RandomSearchOptimizer(num_samples=50, bounds=(0.0, 1.0), seed=5)
-        result = optimizer.minimize(quadratic, [0.5, 0.5])
-        for point, _ in result.history[1:]:
-            assert np.all(point >= 0.0) and np.all(point <= 1.0)

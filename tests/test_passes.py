@@ -47,7 +47,6 @@ from repro.circuits import (
 from repro.circuits.clifford import CircuitClass, equal_up_to_global_phase
 from repro.circuits.gates import CPhase, PhaseShift, TDG
 from repro.circuits.passes import (
-    CliffordPrefixPass,
     CommutationPass,
     FusionPass,
     LightConePass,
@@ -55,13 +54,12 @@ from repro.circuits.passes import (
     default_pipeline,
     optimize_circuit,
     resolve_pipeline,
-    split_clifford_prefix,
 )
 from repro.circuits.passes.rules import commutes, removable_identity, structurally_diagonal, try_merge
 from repro.circuits.topology import circuit_topology_key
 from repro.api.routing import select_backend
 
-ALL_PASSES = [LightConePass(), FusionPass(), CommutationPass(), CliffordPrefixPass()]
+ALL_PASSES = [LightConePass(), FusionPass(), CommutationPass()]
 
 # Mirrors conftest.REWRITE_ALPHABETS (module-level parametrize can't reach
 # the fixture); random_fuzz_circuit rejects unknown names, so drift fails
@@ -124,7 +122,7 @@ class TestPassInvariants:
 class TestUnitaryEquivalence:
     """Rewrites preserve the unitary up to global phase (n <= 8)."""
 
-    UNITARY_PASSES = [FusionPass(), CommutationPass(), CliffordPrefixPass()]
+    UNITARY_PASSES = [FusionPass(), CommutationPass()]
 
     @pytest.mark.parametrize(
         "alphabet", ("rotation-chains", "commuting-blocks", "clifford-prefix", "universal")
@@ -266,76 +264,6 @@ class TestValueBlindness:
         for angle in (0.0, 4 * np.pi):
             dropped = optimize_circuit(Circuit([Rz(angle)(q[0])])).circuit
             assert len(dropped.all_operations()) == 0
-
-
-class TestCliffordPrefix:
-    """Prefix extraction: maximality on clean splits, exactness always."""
-
-    def test_split_concatenation_is_equivalent(self, circuit_fuzzer):
-        circuit = _fuzz(circuit_fuzzer, 2, 4, 6, "clifford-prefix")
-        prefix, remainder = split_clifford_prefix(circuit)
-        qubits = circuit.all_qubits()
-        recombined = Circuit()
-        recombined.append(prefix.all_operations() + remainder.all_operations())
-        assert equal_up_to_global_phase(
-            recombined.unitary(qubit_order=qubits), circuit.unitary(qubit_order=qubits)
-        )
-
-    def test_prefix_is_clifford(self, circuit_fuzzer):
-        circuit = _fuzz(circuit_fuzzer, 4, 4, 6, "clifford-prefix")
-        prefix, _ = split_clifford_prefix(circuit)
-        if prefix.all_operations():
-            assert classify_circuit(prefix).clifford
-
-    def test_blocked_qubits_stay_blocked(self):
-        q = LineQubit.range(2)
-        # T blocks q0; the H(q0) behind it must not migrate into the prefix.
-        circuit = Circuit([T(q[0]), H(q[0]), H(q[1])])
-        prefix, remainder = split_clifford_prefix(circuit)
-        assert [str(op) for op in prefix.all_operations()] == ["H(q1)"]
-        assert [str(op) for op in remainder.all_operations()] == ["T(q0)", "H(q0)"]
-
-    def test_resolver_dependent_split(self):
-        q = LineQubit.range(1)
-        a = Symbol("a")
-        circuit = Circuit([Rz(a)(q[0])])
-        prefix_unbound, _ = split_clifford_prefix(circuit)
-        assert not prefix_unbound.all_operations()
-        prefix_clifford, remainder = split_clifford_prefix(
-            circuit, ParamResolver({"a": np.pi / 2})
-        )
-        assert len(prefix_clifford.all_operations()) == 1
-        assert not remainder.all_operations()
-
-    def test_noise_blocks_prefix(self):
-        q = LineQubit.range(1)
-        circuit = Circuit([H(q[0])])
-        circuit.append(depolarize(0.1).on(q[0]))
-        circuit.append(S(q[0]))
-        prefix, remainder = split_clifford_prefix(circuit)
-        assert len(prefix.all_operations()) == 1
-        assert len(remainder.all_operations()) == 2
-
-    def test_hybrid_prefix_wider_than_dense_tableau_state(self):
-        """Regression: a 15-qubit Clifford prefix plus T gates raised ValueError.
-
-        The tableau expands its state densely only up to
-        ``DENSE_STATE_QUBITS`` = 14; ``optimize="auto"`` must still run the
-        rewritten circuit on the routed backend.
-        """
-        from repro import device
-        from repro.algorithms import random_clifford_circuit
-        from repro.statevector import StateVectorSimulator
-
-        instance = random_clifford_circuit(15, 40, seed=3)
-        circuit, qubits = instance.circuit.copy(), instance.qubits
-        circuit.append([T(qubit) for qubit in qubits[:4]])
-        optimized = default_pipeline().run(circuit).circuit
-        hybrid = device("auto").simulate(optimized, qubit_order=qubits)
-        reference = StateVectorSimulator().simulate(circuit, qubit_order=qubits)
-        np.testing.assert_allclose(
-            hybrid.probabilities(), reference.probabilities(), rtol=0, atol=1e-10
-        )
 
 
 class TestRewriteRules:
@@ -501,6 +429,27 @@ class TestRoutingAfterRewrite:
         assert structurally_diagonal(diagonal)
         assert structurally_diagonal(also_diagonal)
         assert not structurally_diagonal(dense)
+
+    def test_hybrid_prefix_wider_than_dense_tableau_state(self):
+        """Regression: a 15-qubit Clifford prefix plus T gates raised ValueError.
+
+        The tableau expands its state densely only up to
+        ``DENSE_STATE_QUBITS`` = 14; ``optimize="auto"`` must still run the
+        rewritten circuit on the routed backend.
+        """
+        from repro import device
+        from repro.algorithms import random_clifford_circuit
+        from repro.statevector import StateVectorSimulator
+
+        instance = random_clifford_circuit(15, 40, seed=3)
+        circuit, qubits = instance.circuit.copy(), instance.qubits
+        circuit.append([T(qubit) for qubit in qubits[:4]])
+        optimized = default_pipeline().run(circuit).circuit
+        hybrid = device("auto").simulate(optimized, qubit_order=qubits)
+        reference = StateVectorSimulator().simulate(circuit, qubit_order=qubits)
+        np.testing.assert_allclose(
+            hybrid.probabilities(), reference.probabilities(), rtol=0, atol=1e-10
+        )
 
 
 def _random_unitary(rng, dim):

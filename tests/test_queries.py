@@ -48,6 +48,25 @@ class TestMostProbableExplanation:
         assert explanation.branches[0] in (1, 2)
         assert explanation.probability > 0
 
+    def test_coordinate_ascent_fallback(self, kc, noisy_bell_circuit):
+        """Past ``enumeration_limit`` the greedy ascent answers, inexactly."""
+        compiled = kc.compile_circuit(noisy_bell_circuit)
+        optimum = most_probable_explanation(compiled, [0, 1])
+        greedy = most_probable_explanation(compiled, [0, 1], enumeration_limit=1)
+        assert optimum.exact and greedy.exact is False
+        assert np.isnan(greedy.posterior)
+        assert 0 < greedy.probability <= optimum.probability
+        # One binary channel: a single coordinate step reaches the optimum.
+        q = LineQubit(0)
+        circuit = Circuit([H(q), H(q)])
+        circuit.append(bit_flip(0.1).on(q))
+        flip = kc.compile_circuit(circuit)
+        enumerated = most_probable_explanation(flip, [1])
+        ascended = most_probable_explanation(flip, [1], enumeration_limit=1)
+        assert ascended.exact is False
+        assert ascended.branches == enumerated.branches
+        assert ascended.probability == pytest.approx(enumerated.probability, abs=1e-12)
+
     def test_ideal_circuit_rejected(self, kc, bell_circuit):
         compiled = kc.compile_circuit(bell_circuit)
         with pytest.raises(ValueError):

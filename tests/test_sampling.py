@@ -1,4 +1,4 @@
-"""Tests for Gibbs sampling, ideal sampling and divergence metrics."""
+"""Tests for Gibbs sampling, direct sampling and divergence metrics."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,12 @@ from repro.sampling import (
     GibbsSampler,
     chi_squared_statistic,
     empirical_distribution,
-    ideal_sample_from_distribution,
-    ideal_sample_from_state_vector,
     kl_divergence,
     reverse_kl_divergence,
     total_variation_distance,
 )
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+from repro.simulator.results import sample_from_probabilities
 from repro.statevector import StateVectorSimulator
 
 
@@ -109,21 +108,26 @@ class TestIdealSampling:
     def test_sample_counts(self, bell_circuit):
         state = StateVectorSimulator().simulate(bell_circuit).state_vector
         qubits = bell_circuit.all_qubits()
-        samples = ideal_sample_from_state_vector(state, 500, qubits, np.random.default_rng(1))
+        samples = sample_from_probabilities(
+            qubits, np.abs(state) ** 2, 500, np.random.default_rng(1)
+        )
         assert len(samples) == 500
         assert set(samples.bitstring_counts()) <= {"00", "11"}
 
     def test_distribution_validation(self):
         qubits = LineQubit.range(1)
-        with pytest.raises(ValueError):
-            ideal_sample_from_distribution(np.array([0.0, 0.0]), 10, qubits)
-        with pytest.raises(ValueError):
-            ideal_sample_from_distribution(np.array([1.0]), 10, LineQubit.range(2))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="positive total mass"):
+            sample_from_probabilities(qubits, np.array([0.0, 0.0]), 10, rng)
+        with pytest.raises(ValueError, match="does not match qubit count"):
+            sample_from_probabilities(LineQubit.range(2), np.array([1.0]), 10, rng)
+        with pytest.raises(ValueError, match="flat array"):
+            sample_from_probabilities(qubits, np.eye(2) / 2, 10, rng)
 
     def test_ideal_sampling_converges(self):
         rng = np.random.default_rng(7)
         exact = np.array([0.7, 0.1, 0.1, 0.1])
-        samples = ideal_sample_from_distribution(exact, 5000, LineQubit.range(2), rng)
+        samples = sample_from_probabilities(LineQubit.range(2), exact, 5000, rng)
         empirical = samples.empirical_distribution()
         assert total_variation_distance(exact, empirical) < 0.03
 

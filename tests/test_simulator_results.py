@@ -9,7 +9,6 @@ from repro import device
 from repro.circuits import CNOT, Circuit, GridQubit, H, LineQubit, NamedQubit, Ry, depolarize
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.linalg.tensor_ops import index_to_bits
-from repro.sampling import ideal_sample_from_distribution
 from repro.simulator import DensityMatrixResult, SampleResult, StateVectorResult
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.simulator.results import sample_from_probabilities
@@ -156,10 +155,10 @@ class TestDenseDraw:
         assert samples.samples == _reference_draw(result.probabilities(), repetitions, 12)
 
     @pytest.mark.parametrize("repetitions", REPETITIONS)
-    def test_ideal_sample_from_distribution(self, repetitions):
+    def test_unnormalized_distribution_sample(self, repetitions):
         weights = np.random.default_rng(4).random(8)  # unnormalized
-        samples = ideal_sample_from_distribution(
-            weights, repetitions, LineQubit.range(3), np.random.default_rng(13)
+        samples = sample_from_probabilities(
+            LineQubit.range(3), weights, repetitions, np.random.default_rng(13)
         )
         assert samples.samples == _reference_draw(weights, repetitions, 13)
 
