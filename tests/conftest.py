@@ -132,7 +132,7 @@ def rng():
 #: "commuting-blocks" interleaves diagonal ZZ/CZ/CPhase/Rz blocks with
 #: CNOTs and T/TDG pairs separated by commuting gates (commutation-pass
 #: fodder), "clifford-prefix" opens with Clifford layers before a dense
-#: generic-rotation tail (prefix-extraction fodder), and "spectator"
+#: generic-rotation tail (Clifford-head fodder), and "spectator"
 #: measures only a subset of qubits while gating the rest (light-cone
 #: fodder; Clifford gates only, so every backend including the stabilizer
 #: can check parity over the measured qubits).

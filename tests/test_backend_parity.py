@@ -14,7 +14,23 @@ import numpy as np
 import pytest
 
 from repro import device, select_backend
-from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, T, X, amplitude_damp, depolarize, phase_damp
+from repro.circuits import (
+    CNOT,
+    AsymmetricDepolarizingChannel,
+    Circuit,
+    H,
+    LineQubit,
+    Ry,
+    T,
+    X,
+    amplitude_damp,
+    bit_flip,
+    depolarize,
+    generalized_amplitude_damp,
+    measure,
+    phase_damp,
+    phase_flip,
+)
 from repro.densitymatrix import DensityMatrixSimulator
 from repro.sampling import total_variation_distance
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
@@ -189,6 +205,56 @@ class TestNoisyExactParity:
         noisy = _gate_class_noise_bell()
         kc_rho = KnowledgeCompilationSimulator(seed=1).simulate_density_matrix(noisy).density_matrix
         dm_rho = DensityMatrixSimulator().simulate(noisy).density_matrix
+        assert np.allclose(kc_rho, dm_rho, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            lambda: bit_flip(0.1),
+            lambda: phase_flip(0.2),
+            lambda: depolarize(0.15),
+            lambda: AsymmetricDepolarizingChannel(0.05, 0.1, 0.02),
+            lambda: amplitude_damp(0.3),
+            lambda: phase_damp(0.36),
+            lambda: generalized_amplitude_damp(0.7, 0.2),
+        ],
+        ids=[
+            "bit_flip",
+            "phase_flip",
+            "depolarize",
+            "asymmetric_depolarize",
+            "amplitude_damp",
+            "phase_damp",
+            "generalized_amplitude_damp",
+        ],
+    )
+    def test_kc_matches_density_matrix_per_channel(self, channel):
+        q = LineQubit.range(2)
+        noisy = Circuit([H(q[0]), Ry(0.7)(q[1]), CNOT(q[0], q[1])]).with_noise(channel)
+        kc_rho = KnowledgeCompilationSimulator(seed=1).simulate_density_matrix(noisy).density_matrix
+        dm_rho = DensityMatrixSimulator().simulate(noisy).density_matrix
+        assert np.allclose(kc_rho, dm_rho, atol=1e-9)
+
+    def test_readout_error_before_measurement(self):
+        q = LineQubit(0)
+        circuit = Circuit([X(q)])
+        circuit.append(bit_flip(0.2).on(q))
+        circuit.append(measure(q))
+        dm = DensityMatrixSimulator().simulate(circuit).probabilities()
+        kc = KnowledgeCompilationSimulator(seed=1).simulate_density_matrix(circuit).probabilities()
+        assert dm[0] == pytest.approx(0.2)
+        assert kc[0] == pytest.approx(0.2)
+
+    def test_kc_matches_density_matrix_with_idle_relaxation(self):
+        """Amplitude then phase damping on each qubit that idles in a moment."""
+        q = LineQubit.range(3)
+        # Moment 0: H(q0) and X(q2) while q1 idles; moment 1: CNOT(q0, q1) while q2 idles.
+        circuit = Circuit([H(q[0]), X(q[2])])
+        circuit.append([amplitude_damp(0.01).on(q[1]), phase_damp(0.02).on(q[1])])
+        circuit.append(CNOT(q[0], q[1]))
+        circuit.append([amplitude_damp(0.01).on(q[2]), phase_damp(0.02).on(q[2])])
+        kc_rho = KnowledgeCompilationSimulator(seed=1).simulate_density_matrix(circuit).density_matrix
+        dm_rho = DensityMatrixSimulator().simulate(circuit).density_matrix
         assert np.allclose(kc_rho, dm_rho, atol=1e-9)
 
 

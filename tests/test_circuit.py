@@ -9,6 +9,7 @@ from repro.circuits import (
     H,
     LineQubit,
     Moment,
+    TOFFOLI,
     ParamResolver,
     Rx,
     Symbol,
@@ -18,6 +19,7 @@ from repro.circuits import (
     depolarize,
     measure,
 )
+from repro.circuits.noise import NoiseOperation
 from repro.linalg import expand_operator
 
 
@@ -113,6 +115,60 @@ class TestCircuitTransformations:
     def test_with_noise_requires_channel(self, bell_circuit):
         with pytest.raises(TypeError):
             bell_circuit.with_noise(lambda: "not a channel")
+
+    def test_with_noise_skips_measurements_by_default(self):
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), CNOT(q[0], q[1]), measure(q[0], q[1])])
+        noisy = circuit.with_noise(lambda: depolarize(0.01))
+        assert len(noisy.noise_operations()) == 3
+        assert noisy.gate_count() == circuit.gate_count()
+        assert len(noisy.measurement_operations()) == 1
+        assert noisy.all_operations()[-1].is_measurement
+
+    def test_with_noise_on_measurements_when_asked(self):
+        q = LineQubit.range(2)
+        circuit = Circuit([H(q[0]), CNOT(q[0], q[1]), measure(q[0], q[1])])
+        noisy = circuit.with_noise(lambda: depolarize(0.01), skip_measurements=False)
+        # H -> 1, CNOT -> 2, the two-qubit measurement -> 2.
+        assert len(noisy.noise_operations()) == 5
+
+    def test_with_noise_covers_every_qubit_of_a_multi_qubit_gate(self):
+        q = LineQubit.range(3)
+        noisy = Circuit([TOFFOLI(q[0], q[1], q[2])]).with_noise(lambda: depolarize(0.02))
+        targets = [op.qubits[0] for op in noisy.noise_operations()]
+        assert sorted(targets) == list(q)
+
+    def test_with_noise_adds_nothing_after_existing_channels(self):
+        q = LineQubit(0)
+        circuit = Circuit([H(q)])
+        circuit.append(depolarize(0.1).on(q))
+        noisy = circuit.with_noise(lambda: depolarize(0.01))
+        # The explicit channel stays and gets no channel of its own.
+        assert [op.channel.value for op in noisy.noise_operations()] == [0.01, 0.1]
+
+    def test_with_noise_builds_a_fresh_channel_per_insertion(self, bell_circuit):
+        built = []
+
+        def factory():
+            built.append(depolarize(0.01))
+            return built[-1]
+
+        noisy = bell_circuit.with_noise(factory)
+        assert len(built) == 3
+        assert len({id(op.channel) for op in noisy.noise_operations()}) == 3
+
+    def test_with_noise_leaves_input_unchanged(self, bell_circuit):
+        before = bell_circuit.copy()
+        bell_circuit.with_noise(lambda: depolarize(0.01))
+        assert bell_circuit == before
+        assert not bell_circuit.has_noise
+
+    def test_with_noise_channel_follows_each_gate_on_its_qubit(self, bell_circuit):
+        q0 = LineQubit(0)
+        noisy = bell_circuit.with_noise(lambda: depolarize(0.01))
+        on_q0 = [op for op in noisy.all_operations() if q0 in op.qubits]
+        kinds = ["noise" if isinstance(op, NoiseOperation) else str(op.gate) for op in on_q0]
+        assert kinds == ["H", "noise", "CNOT", "noise"]
 
 
 class TestCircuitUnitary:

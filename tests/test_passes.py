@@ -40,6 +40,7 @@ from repro.circuits import (
     X,
     Z,
     ZZ,
+    amplitude_damp,
     classify_circuit,
     depolarize,
     measure,
@@ -429,6 +430,46 @@ class TestRoutingAfterRewrite:
         assert structurally_diagonal(diagonal)
         assert structurally_diagonal(also_diagonal)
         assert not structurally_diagonal(dense)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_default_pipeline_keeps_clifford_head_unitary(self, circuit_fuzzer, seed):
+        circuit = _fuzz(circuit_fuzzer, seed, 3, 6, "clifford-prefix")
+        qubits = circuit.all_qubits()
+        optimized = default_pipeline().run(circuit).circuit
+        assert equal_up_to_global_phase(
+            optimized.unitary(qubit_order=qubits), circuit.unitary(qubit_order=qubits)
+        )
+        assert not classify_circuit(optimized).clifford  # the dense tail stays
+
+    def test_noncommuting_order_survives_pipeline(self):
+        q = LineQubit.range(2)
+        # T blocks q0: the H(q0) behind it must stay behind it.
+        circuit = Circuit([T(q[0]), H(q[0]), H(q[1])])
+        optimized = default_pipeline().run(circuit).circuit
+        on_q0 = [str(op) for op in optimized.all_operations() if q[0] in op.qubits]
+        assert on_q0 == ["T(q0)", "H(q0)"]
+        assert equal_up_to_global_phase(
+            optimized.unitary(qubit_order=q), circuit.unitary(qubit_order=q)
+        )
+
+    def test_binding_decides_clifford_class(self):
+        q = LineQubit(0)
+        circuit = Circuit([Rz(Symbol("a"))(q)])
+        assert not classify_circuit(circuit).clifford
+        assert classify_circuit(circuit, ParamResolver({"a": np.pi / 2})).clifford
+        assert not classify_circuit(circuit, ParamResolver({"a": 0.3})).clifford
+
+    def test_noise_keeps_clifford_class_and_flags_channels(self):
+        q = LineQubit(0)
+        pauli = Circuit([H(q)])
+        pauli.append(depolarize(0.1).on(q))
+        pauli.append(S(q))
+        cls = classify_circuit(pauli)
+        assert cls.clifford and cls.has_noise and cls.pauli_noise
+        damped = Circuit([H(q)])
+        damped.append(amplitude_damp(0.1).on(q))
+        cls = classify_circuit(damped)
+        assert cls.clifford and cls.has_noise and not cls.pauli_noise
 
     def test_hybrid_prefix_wider_than_dense_tableau_state(self):
         """Regression: a 15-qubit Clifford prefix plus T gates raised ValueError.

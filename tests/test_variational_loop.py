@@ -77,3 +77,55 @@ class TestVariationalLoopWithKnowledgeCompilation:
         run = loop.run(initial_parameters=np.array([0.5, 0.5]))
         assert len(run.objective_trace) >= 3
         assert all(isinstance(value, float) for value in run.objective_trace)
+
+
+class TestObjectiveOnSharedCompile:
+    """``VariationalLoop.objective`` rebinds one compile; evaluation k uses seed + k."""
+
+    @pytest.fixture
+    def loop(self):
+        ansatz = QAOACircuit(ring_maxcut(4), iterations=1)
+        return VariationalLoop(
+            ansatz, KnowledgeCompilationSimulator(seed=3), samples_per_evaluation=256, seed=5
+        )
+
+    def test_exact_objective_at_zero_gamma(self, loop):
+        # At gamma = 0 the cost layer is the identity, so the state stays the
+        # uniform superposition: expected cut = half the edges -> objective -2.
+        probabilities = loop._compiled.probabilities(loop.ansatz.resolver([0.0, 0.7]))
+        assert loop.ansatz.objective_from_distribution(probabilities) == pytest.approx(
+            -2.0, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("point", [(0.45, 0.3), (1.1, 0.2), (2.4, 0.6)])
+    def test_compiled_objective_matches_state_vector(self, loop, point):
+        resolver = loop.ansatz.resolver(list(point))
+        compiled = loop.ansatz.objective_from_distribution(loop._compiled.probabilities(resolver))
+        resolved = loop.ansatz.circuit.resolve_parameters(resolver)
+        exact = StateVectorSimulator().simulate(resolved).probabilities()
+        assert compiled == pytest.approx(loop.ansatz.objective_from_distribution(exact), abs=1e-9)
+
+    def test_evaluation_k_samples_with_seed_plus_k(self, loop):
+        points = [np.array([0.45, 0.3]), np.array([1.1, 0.2])]
+        values = [loop.objective(point) for point in points]
+        for k, point in enumerate(points, start=1):
+            samples = loop.simulator.sample(
+                loop._compiled, 256, resolver=loop.ansatz.resolver(list(point)), seed=5 + k
+            )
+            assert values[k - 1] == loop.ansatz.objective_from_samples(samples)
+        assert loop._trace == values
+
+    def test_objective_never_recompiles(self, loop, monkeypatch):
+        compiled = loop._compiled
+
+        def fail(*args, **kwargs):
+            raise AssertionError("objective recompiled the ansatz")
+
+        monkeypatch.setattr(loop.simulator, "compile_circuit", fail)
+        for point in ([0.2, 0.2], [0.6, 0.4], [1.0, 0.1]):
+            loop.objective(np.array(point))
+        assert loop._compiled is compiled
+
+    def test_sampled_objective_near_optimum_beats_uniform(self, loop):
+        # Near the p=1 optimum the sampled mean cut should clearly beat random guessing.
+        assert loop.objective(np.array([7 * np.pi / 8, np.pi / 8])) < -2.2
