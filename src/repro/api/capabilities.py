@@ -49,7 +49,7 @@ class BackendCapabilities:
         work items onto one instance beats a per-item loop.
     noisy_sampling:
         ``sample`` handles noisy circuits (even when ``mixed_state`` is
-        false, e.g. via per-shot trajectories).
+        false, e.g. by quantum trajectories).
     memory_exponent:
         Memory-cost metadata for pre-dispatch budgeting: the backend's
         working state scales as ``16 * (2**memory_exponent)**n`` bytes
@@ -60,8 +60,9 @@ class BackendCapabilities:
         The backend's working state carries a leading batch axis (the
         trajectory backend's lockstep ``(B, 2^n)`` ensemble), so its
         footprint scales with the number of simultaneous shots, not just
-        ``n``.  Backends that loop shots serially (per-shot trajectories on
-        the state-vector backend) keep this ``False``.
+        ``n``.  The state-vector backend runs the same trajectory engine
+        but caps each chunk at ``2**16`` amplitudes (``max(1, 2**16 >> n)``
+        rows, one row past 16 qubits), so it keeps this ``False``.
     max_batch_size:
         Cap on the simultaneous batch: larger submissions are processed in
         chunks of this many rows, bounding peak memory at
@@ -101,7 +102,7 @@ class BackendCapabilities:
         times the simultaneous batch for backends whose state carries a
         batch axis (``batch_memory``): the trajectory backend holds a
         ``(B, 2^n)`` ensemble, clamped at ``max_batch_size`` rows by its
-        chunked execution.  Backends that loop shots serially ignore
+        chunked execution.  Backends without a batch axis ignore
         ``batch_size``.
         """
         if self.memory_exponent is None:

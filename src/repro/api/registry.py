@@ -165,7 +165,7 @@ register_backend(
         noisy_sampling=True,
         memory_exponent=1,
         default_item_timeout=300.0,
-        description="dense 2^n state vector; noisy sampling via per-shot trajectories",
+        description="dense 2^n state vector; noisy sampling by the trajectory engine, one trajectory per shot",
         aliases=("sv", "statevector"),
     ),
     _state_vector_factory,

@@ -107,13 +107,15 @@ def run_specs(
 ) -> List[ExperimentResult]:
     """Execute ``specs`` and return their results flattened, in spec order.
 
-    With ``jobs > 1`` the specs are submitted as one job to the unified
-    scheduler (:mod:`repro.api.scheduler`), whose pool workers share
-    ``cache_dir`` (a temporary directory when omitted) as an on-disk
-    compiled-circuit cache: the first worker to need a topology compiles
-    and persists it, the rest hydrate the pickle.  A serial run with an
-    explicit ``cache_dir`` points this process's default cache at the same
-    directory, so repeated invocations reuse compiles across runs.
+    The specs are submitted as one job to the unified scheduler
+    (:mod:`repro.api.scheduler`).  With ``jobs > 1`` its pool workers share
+    ``cache_dir`` (a temporary directory, removed on return, when omitted)
+    as an on-disk compiled-circuit cache: the first worker to need a
+    topology compiles and persists it, the rest hydrate the pickle.  A
+    serial run executes inline; with an explicit ``cache_dir`` it points
+    this process's default cache at that directory, so repeated invocations
+    reuse compiles across runs, and without one it leaves the process's
+    cache as it is.
 
     ``retries > 0`` re-runs specs whose workers crash or hit transient
     errors (up to ``retries`` extra attempts each); every spec re-runs
@@ -121,13 +123,9 @@ def run_specs(
     fault-free one.
     """
     retry = RetryPolicy(max_attempts=retries + 1) if retries > 0 else None
-    if jobs <= 1:
-        if cache_dir is not None:
-            _worker_init(cache_dir)
-        if retry is None:
-            return [result for spec in specs for result in execute_spec(spec)]
+    jobs = max(1, min(jobs, len(specs)))
     cleanup: Optional[tempfile.TemporaryDirectory] = None
-    if cache_dir is None:
+    if cache_dir is None and jobs > 1:
         cleanup = tempfile.TemporaryDirectory(prefix="repro-runner-cache-")
         cache_dir = cleanup.name
     try:
@@ -140,10 +138,8 @@ def run_specs(
             )
             for index, spec in enumerate(specs)
         ]
-        job = scheduler.submit(
-            tasks, jobs=min(jobs, len(specs)) or 1, block=True, retry=retry
-        )
-        blocks = job.result()
+        # jobs=1 runs the tasks inline in this process, with no pickling.
+        blocks = scheduler.submit(tasks, jobs=jobs, block=True, retry=retry).result()
     finally:
         if cleanup is not None:
             cleanup.cleanup()

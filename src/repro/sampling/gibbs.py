@@ -46,7 +46,7 @@ separate single-chain API: one chain is an ensemble with ``num_chains=1``.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from ..circuits.parameters import ParamResolver
 from ..simulator.results import SampleResult
 
 DEFAULT_MAX_CHAINS = 64
+#: Rounds of the initial-state search that redraw still-zero-weight chains.
+MAX_RESTART_ATTEMPTS = 256
 
 
 class GibbsSampler:
@@ -68,13 +70,11 @@ class GibbsSampler:
         compiled,
         resolver: Optional[ParamResolver] = None,
         rng: Optional[np.random.Generator] = None,
-        max_restart_attempts: int = 256,
         restart_probability: float = 0.1,
     ):
         self.compiled = compiled
         self.resolver = resolver
         self.rng = rng or np.random.default_rng()
-        self.max_restart_attempts = max_restart_attempts
         self.restart_probability = float(restart_probability)
 
         self.variables = compiled.retained_variables
@@ -237,7 +237,7 @@ class GibbsSampler:
         """
         states = self._random_states(num_chains)
         weights = np.abs(self._amplitudes(states)) ** 2
-        for _ in range(self.max_restart_attempts):
+        for _ in range(MAX_RESTART_ATTEMPTS):
             stuck = weights <= 0.0
             if not stuck.any():
                 return states, weights
@@ -395,26 +395,12 @@ class GibbsSampler:
         bit_indices = self.rng.integers(0, len(self.bits), size=states.shape[0])
         return self._resample(states, bit_indices, weights)
 
-    def _encode_state(self, state: Dict[str, int]) -> np.ndarray:
-        row = np.zeros((1, len(self.variables)), dtype=np.int64)
-        for column, variable in enumerate(self.variables):
-            # Unlike the old dict-based path there is no way to leave a
-            # variable unbound (marginalized) in the ensemble state matrix,
-            # so a partial state is an error rather than silent evidence 0.
-            if variable.node_name not in state:
-                raise ValueError(
-                    f"state is missing retained variable {variable.node_name!r}"
-                )
-            row[0, column] = int(state[variable.node_name])
-        return row
-
     # ------------------------------------------------------------------
     def sample(
         self,
         num_samples: int,
         burn_in_sweeps: int = 4,
         steps_per_sample: int = 1,
-        initial_state: Optional[Dict[str, int]] = None,
         num_chains: Optional[int] = None,
     ) -> SampleResult:
         """Draw ``num_samples`` output bitstrings from a lockstep chain ensemble.
@@ -438,8 +424,6 @@ class GibbsSampler:
             burn_in_sweeps: Full systematic sweeps discarded before
                 recording (skipped when a warm ensemble is available).
             steps_per_sample: Batched transitions between recording rounds.
-            initial_state: Optional explicit starting assignment (node name
-                -> value) for every chain; forces a cold start.
             num_chains: Lockstep ensemble size (clamped to
                 ``[1, num_samples]``).
 
@@ -458,11 +442,7 @@ class GibbsSampler:
             num_chains = min(num_samples, DEFAULT_MAX_CHAINS)
         num_chains = max(1, min(int(num_chains), num_samples))
 
-        warm = (
-            initial_state is None
-            and self._ensemble is not None
-            and self._ensemble[0].shape[0] == num_chains
-        )
+        warm = self._ensemble is not None and self._ensemble[0].shape[0] == num_chains
         if warm:
             states, weights = self._ensemble
             if self._needs_reburn:
@@ -475,15 +455,8 @@ class GibbsSampler:
                 weights = self._burn_in(states, weights, burn_in_sweeps)
                 self._needs_reburn = False
         else:
-            if initial_state is not None:
-                states = np.repeat(self._encode_state(initial_state), num_chains, axis=0)
-                weights = np.abs(self._amplitudes(states)) ** 2
-            else:
-                states, weights = self.initial_states(num_chains)
-
-            # An explicit initial_state is the caller's chosen start — skip
-            # the equilibration redraws that would move the chains off it.
-            if initial_state is None and num_chains > 1 and self.restart_probability > 0.0:
+            states, weights = self.initial_states(num_chains)
+            if num_chains > 1 and self.restart_probability > 0.0:
                 # Cold-start equilibration: a chain contributes only
                 # ``num_samples / num_chains`` samples, so unlike the
                 # single-chain case there is no long trajectory for the

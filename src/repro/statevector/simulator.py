@@ -1,31 +1,34 @@
 """State-vector simulator (the reproduction's stand-in for Google qsim).
 
 The simulator multiplies gate unitaries into a dense ``2^n`` state vector.
-Ideal circuits are simulated exactly; noisy circuits are handled with the
-quantum-trajectory method — each run samples one Kraus branch per channel
-with the appropriate probability — which keeps memory at ``2^n`` at the cost
-of per-trajectory variance.  The paper's Figure 8 baselines only exercise the
-ideal path.
+Ideal circuits are simulated exactly.  Noisy circuits can only be sampled:
+``sample`` runs the quantum-trajectory engine of :mod:`repro.trajectory`
+(each sample is measured on its own trajectory, which draws one Kraus branch
+per channel with its Born probability), in chunks small enough to keep the
+backend's ``2^n`` memory footprint.  The paper's Figure 8 baselines only
+exercise the ideal path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from ..circuits.circuit import Circuit
-from ..circuits.noise import NoiseOperation
 from ..circuits.parameters import ParamResolver
 from ..circuits.qubits import Qubit
 from ..errors import UnsupportedCircuitError
 from ..linalg.tensor_ops import apply_unitary_to_state, basis_state
 from ..simulator.base import Simulator
 from ..simulator.results import SampleResult, StateVectorResult
+from ..trajectory import simulator as trajectory
+
+#: Amplitudes per trajectory chunk of a noisy sample (1 MiB of complex128):
+#: ``2**16 >> n`` rows, one row per chunk past 16 qubits.
+_CHUNK_AMPLITUDES = 1 << 16
 
 
 class StateVectorSimulator(Simulator):
-    """Dense state-vector simulation of ideal (and trajectory-noisy) circuits."""
+    """Dense state-vector simulation of ideal circuits; noisy ones sample by trajectories."""
 
     name = "state_vector"
 
@@ -54,48 +57,24 @@ class StateVectorSimulator(Simulator):
 
         Raises:
             UnsupportedCircuitError: If the circuit contains noise
-                operations; use :meth:`simulate_trajectory` or the
-                density-matrix simulator for those.
+                operations; use :class:`~repro.trajectory.TrajectorySimulator`
+                or :class:`~repro.densitymatrix.DensityMatrixSimulator` for
+                those.
         """
         if circuit.has_noise:
             raise UnsupportedCircuitError(
                 "StateVectorSimulator.simulate only supports ideal circuits; "
-                "use simulate_trajectory for noisy circuits"
+                "use TrajectorySimulator or DensityMatrixSimulator for noisy circuits"
             )
-        qubits, state = self._run(circuit, resolver, qubit_order, initial_state, rng=None)
-        return StateVectorResult(qubits, state)
-
-    def simulate_trajectory(
-        self,
-        circuit: Circuit,
-        resolver: Optional[ParamResolver] = None,
-        qubit_order: Optional[Sequence[Qubit]] = None,
-        initial_state: int = 0,
-        seed: Optional[int] = None,
-    ) -> StateVectorResult:
-        """Simulate one quantum trajectory of a (possibly noisy) circuit.
-
-        Each noise channel samples one Kraus branch with the Born
-        probability; the returned state is a single stochastic unravelling,
-        so averaging many trajectories converges to the channel semantics.
-
-        Args:
-            circuit: The circuit to run (noise channels allowed).
-            resolver: Binds any symbolic parameters.
-            qubit_order: Qubit-to-basis-position order.
-            initial_state: Computational-basis index of the starting state.
-            seed: Per-call seed; ``None`` draws branch choices from the
-                backend's default generator.
-
-        Returns:
-            A :class:`StateVectorResult` for this trajectory's final state.
-
-        Raises:
-            ValueError: If every Kraus branch of some channel has zero
-                probability on the current state.
-        """
-        rng = self._rng(seed)
-        qubits, state = self._run(circuit, resolver, qubit_order, initial_state, rng=rng)
+        qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
+        index_of: Dict[Qubit, int] = {q: i for i, q in enumerate(qubits)}
+        num_qubits = len(qubits)
+        state = basis_state(initial_state, num_qubits)
+        for op in circuit.all_operations():
+            if op.is_measurement:
+                continue
+            targets = [index_of[q] for q in op.qubits]
+            state = apply_unitary_to_state(state, op.unitary(resolver), targets, num_qubits)
         return StateVectorResult(qubits, state)
 
     def sample(
@@ -110,8 +89,12 @@ class StateVectorSimulator(Simulator):
         """Draw samples from the final wavefunction.
 
         For ideal circuits the state is computed once and sampled
-        ``repetitions`` times.  For noisy circuits each sample comes from an
-        independent trajectory (unbiased but ``repetitions`` full runs).
+        ``repetitions`` times.  For noisy circuits each sample is measured on
+        its own quantum trajectory (see :mod:`repro.trajectory`), so every
+        sample is an independent exact draw from the density-matrix
+        distribution.  The trajectories run in lockstep chunks of
+        ``max(1, 2**16 >> n)`` rows, which keeps the backend's ``2^n``
+        memory footprint.
 
         Args:
             circuit: The circuit to run.
@@ -130,63 +113,9 @@ class StateVectorSimulator(Simulator):
             result = self.simulate(circuit, resolver, qubit_order, initial_state)
             return result.sample(repetitions, rng)
         qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
-        samples: List[Tuple[int, ...]] = []
-        for _ in range(repetitions):
-            trajectory = StateVectorResult(
-                qubits, self._run(circuit, resolver, qubits, initial_state, rng=rng)[1]
-            )
-            samples.extend(trajectory.sample(1, rng).samples)
-        return SampleResult(qubits, samples)
-
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        circuit: Circuit,
-        resolver: Optional[ParamResolver],
-        qubit_order: Optional[Sequence[Qubit]],
-        initial_state: int,
-        rng: Optional[np.random.Generator],
-    ) -> Tuple[List[Qubit], np.ndarray]:
-        qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
-        index_of: Dict[Qubit, int] = {q: i for i, q in enumerate(qubits)}
-        num_qubits = len(qubits)
-        state = basis_state(initial_state, num_qubits)
-        for op in circuit.all_operations():
-            if op.is_measurement:
-                continue
-            targets = [index_of[q] for q in op.qubits]
-            if isinstance(op, NoiseOperation):
-                if rng is None:
-                    raise ValueError("noise operation encountered in ideal simulation")
-                state = self._apply_noise_trajectory(state, op, targets, num_qubits, resolver, rng)
-            else:
-                state = apply_unitary_to_state(state, op.unitary(resolver), targets, num_qubits)
-        return qubits, state
-
-    @staticmethod
-    def _apply_noise_trajectory(
-        state: np.ndarray,
-        op: NoiseOperation,
-        targets: Sequence[int],
-        num_qubits: int,
-        resolver: Optional[ParamResolver],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sample one Kraus branch with probability <psi|E†E|psi> and renormalise."""
-        operators = op.kraus_operators(resolver)
-        branch_states = []
-        branch_probabilities = []
-        for kraus in operators:
-            candidate = apply_unitary_to_state(state, kraus, targets, num_qubits)
-            probability = float(np.real(np.vdot(candidate, candidate)))
-            branch_states.append(candidate)
-            branch_probabilities.append(probability)
-        probabilities = np.array(branch_probabilities)
-        total = probabilities.sum()
-        if total <= 0:
-            raise ValueError("all Kraus branches have zero probability")
-        probabilities = probabilities / total
-        choice = int(rng.choice(len(operators), p=probabilities))
-        chosen = branch_states[choice]
-        norm = np.linalg.norm(chosen)
-        return chosen / norm
+        if repetitions < 1:
+            return SampleResult(qubits, [])
+        chunk_size = max(1, _CHUNK_AMPLITUDES >> len(qubits))
+        return trajectory.sample_trajectories(
+            circuit, repetitions, resolver, qubits, initial_state, rng, chunk_size
+        )

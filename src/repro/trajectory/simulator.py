@@ -10,10 +10,11 @@ converges to the density-matrix result at the usual ``1/sqrt(T)`` Monte
 Carlo rate, and is *exact* for measurement sampling when each sample comes
 from its own trajectory.
 
-The seed's :class:`~repro.statevector.simulator.StateVectorSimulator` already
-implements this method one trajectory at a time.  This backend makes it a
-scalable first-class citizen, mirroring the batched-evaluation design of the
-many-chain Gibbs sampler:
+This module is the one trajectory engine of the package: the batched
+:class:`TrajectorySimulator` and the noisy ``sample`` of
+:class:`~repro.statevector.simulator.StateVectorSimulator` both run
+:func:`sample_trajectories`.  Its design mirrors the batched evaluation of
+the many-chain Gibbs sampler:
 
 * all ``B`` trajectories advance in lockstep through one compiled program —
   a ``(B, 2^n)`` array is transformed by one tensor contraction per step
@@ -27,13 +28,13 @@ many-chain Gibbs sampler:
 * general Kraus channels (amplitude/phase damping) compute all branch norms
   in one pass and renormalise only once per channel.
 
-Trajectory batches are processed in chunks of ``max_batch_size`` to bound
-peak memory at ``O(max_batch_size * 2^n)``.
+Trajectory batches are processed in chunks of a caller-chosen size, which
+bounds peak memory at ``O(chunk_size * 2^n)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -206,6 +207,94 @@ def _sample_indices_from_states(
     return np.clip(positions - row_of_sample * dim, 0, dim - 1)
 
 
+def _compiled(
+    circuit: Circuit, resolver: Optional[ParamResolver], qubit_order: Optional[Sequence[Qubit]]
+) -> Tuple[List[Qubit], List[_Step]]:
+    """The run's qubit order and its trajectory program."""
+    qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
+    index_of: Dict[Qubit, int] = {q: i for i, q in enumerate(qubits)}
+    return qubits, compile_trajectory_program(circuit, resolver, index_of)
+
+
+def final_state_chunks(
+    program: Sequence[_Step],
+    num_qubits: int,
+    initial_state: int,
+    num_trajectories: int,
+    rng: np.random.Generator,
+    chunk_size: int,
+) -> Iterator[np.ndarray]:
+    """Yield the final states of ``num_trajectories`` trajectories of ``program``.
+
+    Each yielded ``(rows, 2^n)`` array holds at most ``chunk_size``
+    trajectories, all started in basis state ``initial_state`` and advanced
+    in lockstep, so peak memory is ``O(chunk_size * 2^n)``.
+
+    Raises:
+        ValueError: If ``num_trajectories`` is not positive.
+    """
+    if num_trajectories < 1:
+        raise ValueError("num_trajectories must be positive")
+    initial = basis_state(initial_state, num_qubits)
+    remaining = num_trajectories
+    while remaining > 0:
+        batch = min(remaining, chunk_size)
+        remaining -= batch
+        states = np.tile(initial, (batch, 1))
+        for step in program:
+            states = step.apply(states, num_qubits, rng)
+        yield states
+
+
+def sample_trajectories(
+    circuit: Circuit,
+    repetitions: int,
+    resolver: Optional[ParamResolver],
+    qubit_order: Optional[Sequence[Qubit]],
+    initial_state: int,
+    rng: np.random.Generator,
+    chunk_size: int,
+    num_trajectories: Optional[int] = None,
+) -> SampleResult:
+    """Measurement samples of ``circuit``, one trajectory per sample by default.
+
+    See :meth:`TrajectorySimulator.sample` for the sampling semantics;
+    ``chunk_size`` caps the trajectories evolved at once (see
+    :func:`final_state_chunks`).
+
+    Raises:
+        ValueError: If ``repetitions`` or ``num_trajectories`` is not
+            positive.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be positive")
+    if not circuit.has_noise:
+        num_trajectories = 1
+    elif num_trajectories is None:
+        num_trajectories = repetitions
+    else:
+        num_trajectories = min(int(num_trajectories), repetitions)
+        if num_trajectories < 1:
+            raise ValueError("num_trajectories must be positive")
+    qubits, program = _compiled(circuit, resolver, qubit_order)
+    num_qubits = len(qubits)
+    # Round-robin allocation: the first (repetitions % T) trajectories
+    # contribute one extra sample.
+    base, extra = divmod(repetitions, num_trajectories)
+    per_trajectory = np.full(num_trajectories, base, dtype=np.int64)
+    per_trajectory[:extra] += 1
+    blocks: List[np.ndarray] = []
+    consumed = 0
+    for states in final_state_chunks(
+        program, num_qubits, initial_state, num_trajectories, rng, chunk_size
+    ):
+        counts = per_trajectory[consumed : consumed + states.shape[0]]
+        consumed += states.shape[0]
+        indices = _sample_indices_from_states(states, counts, rng)
+        blocks.append(indices_to_bitstrings(indices, num_qubits))
+    return SampleResult(qubits, np.concatenate(blocks))
+
+
 class TrajectorySimulator(Simulator):
     """Batched Monte Carlo wavefunction simulation of noisy circuits.
 
@@ -267,13 +356,13 @@ class TrajectorySimulator(Simulator):
         rng = self._rng(seed)
         if not circuit.has_noise:
             num_trajectories = 1
-        qubits, chunks = self._prepared_run(
-            circuit, resolver, qubit_order, initial_state, num_trajectories
-        )
+        qubits, program = _compiled(circuit, resolver, qubit_order)
         dim = 2 ** len(qubits)
         rho = np.zeros((dim, dim), dtype=complex)
         total = 0
-        for states in self._final_state_chunks(chunks, len(qubits), rng):
+        for states in final_state_chunks(
+            program, len(qubits), initial_state, num_trajectories, rng, self.max_batch_size
+        ):
             rho += np.einsum("bi,bj->ij", states, states.conj())
             total += states.shape[0]
         return DensityMatrixResult(qubits, rho / total)
@@ -286,10 +375,15 @@ class TrajectorySimulator(Simulator):
         initial_state: int = 0,
         seed: Optional[int] = None,
     ) -> StateVectorResult:
-        """One pure-state trajectory (drop-in for the state-vector backend's API)."""
+        """One pure-state trajectory: one Kraus branch drawn per channel.
+
+        Each channel's branch is chosen with its Born probability, so the
+        average of many trajectories' ``|psi><psi|`` converges to the
+        density-matrix result.  ``seed`` follows :meth:`sample`.
+        """
+        qubits, program = _compiled(circuit, resolver, qubit_order)
         rng = self._rng(seed)
-        qubits, chunks = self._prepared_run(circuit, resolver, qubit_order, initial_state, 1)
-        states = next(self._final_state_chunks(chunks, len(qubits), rng))
+        states = next(final_state_chunks(program, len(qubits), initial_state, 1, rng, 1))
         return StateVectorResult(qubits, states[0])
 
     def estimate_probabilities(
@@ -321,12 +415,12 @@ class TrajectorySimulator(Simulator):
         rng = self._rng(seed)
         if not circuit.has_noise:
             num_trajectories = 1  # every trajectory of an ideal circuit is identical
-        qubits, chunks = self._prepared_run(
-            circuit, resolver, qubit_order, initial_state, num_trajectories
-        )
+        qubits, program = _compiled(circuit, resolver, qubit_order)
         probabilities = np.zeros(2 ** len(qubits))
         total = 0
-        for states in self._final_state_chunks(chunks, len(qubits), rng):
+        for states in final_state_chunks(
+            program, len(qubits), initial_state, num_trajectories, rng, self.max_batch_size
+        ):
             probabilities += np.einsum("bd,bd->d", states, states.conj()).real
             total += states.shape[0]
         return probabilities / total
@@ -383,61 +477,13 @@ class TrajectorySimulator(Simulator):
             ValueError: If ``repetitions`` or ``num_trajectories`` is not
                 positive.
         """
-        if repetitions < 1:
-            raise ValueError("repetitions must be positive")
-        rng = self._rng(seed)
-        if not circuit.has_noise:
-            num_trajectories = 1
-        elif num_trajectories is None:
-            num_trajectories = repetitions
-        else:
-            num_trajectories = min(int(num_trajectories), repetitions)
-            if num_trajectories < 1:
-                raise ValueError("num_trajectories must be positive")
-        qubits, chunks = self._prepared_run(
-            circuit, resolver, qubit_order, initial_state, num_trajectories
+        return sample_trajectories(
+            circuit,
+            repetitions,
+            resolver,
+            qubit_order,
+            initial_state,
+            self._rng(seed),
+            self.max_batch_size,
+            num_trajectories,
         )
-        num_qubits = len(qubits)
-        # Round-robin allocation: the first (repetitions % T) trajectories
-        # contribute one extra sample.
-        base, extra = divmod(repetitions, num_trajectories)
-        per_trajectory = np.full(num_trajectories, base, dtype=np.int64)
-        per_trajectory[:extra] += 1
-        samples: List[Tuple[int, ...]] = []
-        consumed = 0
-        for states in self._final_state_chunks(chunks, num_qubits, rng):
-            counts = per_trajectory[consumed : consumed + states.shape[0]]
-            consumed += states.shape[0]
-            indices = _sample_indices_from_states(states, counts, rng)
-            bits = indices_to_bitstrings(indices, num_qubits)
-            samples.extend(map(tuple, bits.tolist()))
-        return SampleResult(qubits, samples)
-
-    # ------------------------------------------------------------------
-    def _prepared_run(
-        self,
-        circuit: Circuit,
-        resolver: Optional[ParamResolver],
-        qubit_order: Optional[Sequence[Qubit]],
-        initial_state: int,
-        num_trajectories: int,
-    ):
-        if num_trajectories < 1:
-            raise ValueError("num_trajectories must be positive")
-        qubits = list(qubit_order) if qubit_order is not None else circuit.all_qubits()
-        index_of: Dict[Qubit, int] = {q: i for i, q in enumerate(qubits)}
-        program = compile_trajectory_program(circuit, resolver, index_of)
-        chunks = (program, basis_state(initial_state, len(qubits)), num_trajectories)
-        return qubits, chunks
-
-    def _final_state_chunks(self, chunks, num_qubits: int, rng: np.random.Generator):
-        """Yield final ``(chunk, 2^n)`` state arrays, ``max_batch_size`` rows at a time."""
-        program, initial, num_trajectories = chunks
-        remaining = num_trajectories
-        while remaining > 0:
-            batch = min(remaining, self.max_batch_size)
-            remaining -= batch
-            states = np.tile(initial, (batch, 1))
-            for step in program:
-                states = step.apply(states, num_qubits, rng)
-            yield states

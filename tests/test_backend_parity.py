@@ -40,6 +40,8 @@ from repro.tensornetwork import TensorNetworkSimulator
 from repro.trajectory import TrajectorySimulator
 from repro.variational import QAOACircuit, random_regular_maxcut
 
+from goodness_of_fit import goodness_of_fit
+
 
 def _noisy_qaoa(num_qubits: int, probability: float = 0.02, seed: int = 5) -> Circuit:
     ansatz = QAOACircuit(random_regular_maxcut(num_qubits, seed=seed), iterations=1)
@@ -294,7 +296,7 @@ class TestNoisyTrajectoryParity:
         assert total_variation_distance(exact, samples.empirical_distribution()) < 0.08
 
     def test_matches_statevector_trajectory_method(self):
-        """The batched unravelling agrees with the seed's per-run trajectory method."""
+        """The state-vector backend's noisy shots agree with the trajectory estimate."""
         q = LineQubit(0)
         circuit = Circuit([X(q)])
         circuit.append(amplitude_damp(0.4).on(q))
@@ -322,3 +324,39 @@ class TestNoisyTrajectoryParity:
             circuit, num_trajectories=512
         )
         assert total_variation_distance(small, large) < 0.08
+
+
+#: Family-wise false-alarm rate of ``TestStateVectorNoisySampling``.
+FAMILY_ALPHA = 1e-4
+#: (circuit, sample/simulate keywords) per case; each case tests at
+#: ``FAMILY_ALPHA / len(NOISY_SAMPLING_CASES)`` (Bonferroni).
+NOISY_SAMPLING_CASES = {
+    "depolarizing": (_noisy_qaoa(4), {}),
+    "amplitude-damping": (_damped_circuit(), {}),
+    "initial-state": (_noisy_qaoa(3), {"initial_state": 5}),
+    "qubit-order": (_damped_circuit(), {"qubit_order": LineQubit.range(2)[::-1]}),
+}
+
+
+class TestStateVectorNoisySampling:
+    """Every noisy shot of the state-vector backend fits the density matrix.
+
+    Each shot is measured on its own trajectory, so the shots are
+    independent draws and all of them enter one chi-square test against
+    ``DensityMatrixSimulator`` probabilities.  The cases cover a mixture
+    channel (depolarizing), general Kraus channels (amplitude and phase
+    damping), a non-zero initial state and a permuted qubit order; each
+    tests at level ``FAMILY_ALPHA / len(NOISY_SAMPLING_CASES)``, so the
+    class raises a false alarm with probability at most ``FAMILY_ALPHA``.
+    """
+
+    @pytest.mark.parametrize("case", sorted(NOISY_SAMPLING_CASES))
+    def test_all_shots_fit_density_matrix(self, case):
+        circuit, options = NOISY_SAMPLING_CASES[case]
+        shots = StateVectorSimulator(seed=31).sample(circuit, 4000, **options)
+        bits = np.asarray(shots.samples, dtype=np.int64)
+        weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
+        counts = np.bincount(bits @ weights, minlength=2 ** bits.shape[1]).astype(float)
+        exact = DensityMatrixSimulator().simulate(circuit, **options).probabilities()
+        level = FAMILY_ALPHA / len(NOISY_SAMPLING_CASES)
+        assert goodness_of_fit(counts, exact) >= level

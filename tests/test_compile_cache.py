@@ -12,6 +12,7 @@ from repro.circuits.noise import depolarize, phase_damp
 from repro.circuits.topology import canonicalize_circuit, circuit_topology_key
 from repro.api.device import Device
 from repro.experiments import runner
+from repro.knowledge import cache as compile_cache
 from repro.knowledge.cache import CompiledCircuitCache
 from repro.knowledge.compiler import KnowledgeCompiler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
@@ -420,6 +421,23 @@ class TestRunnerDeterminism:
         second = runner.run_specs(specs, jobs=2, cache_dir=str(tmp_path / "b"))
         serial = runner.run_specs(specs, jobs=1)
         assert _strip_timings(first) == _strip_timings(second) == _strip_timings(serial)
+
+    @pytest.mark.parametrize("jobs, retries", [(1, 1), (4, 0)])
+    def test_inline_run_leaves_process_cache_alone(self, monkeypatch, jobs, retries):
+        """A run that executes in this process makes no temporary cache directory.
+
+        Such a directory is removed on return, so pointing this process's
+        default cache at it would leave the cache on a deleted path.
+        """
+        # setenv records the variable's prior state, so teardown restores it
+        # even if the run sets it.
+        monkeypatch.setenv(compile_cache.CACHE_DIR_ENV, "unset")
+        monkeypatch.delenv(compile_cache.CACHE_DIR_ENV)
+        monkeypatch.setattr(compile_cache, "_default_cache", CompiledCircuitCache())
+        specs = runner.build_specs(quick=True, only=["bell_example"])
+        runner.run_specs(specs, jobs=jobs, retries=retries)
+        assert compile_cache.CACHE_DIR_ENV not in os.environ
+        assert compile_cache.default_cache().directory is None
 
     def test_build_specs_filters_and_rejects_typos(self):
         names = [spec.name for spec in runner.build_specs(quick=True)]

@@ -165,6 +165,21 @@ class TestJobJournal:
         opcodes = {op.name for op, _, _ in pickletools.genops(payload)}
         assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ"}
 
+    def test_trajectory_sample_records_pickle_no_globals(self, tmp_path):
+        import pickletools
+
+        from repro.circuits import depolarize
+
+        noisy = _ghz().with_noise(lambda: depolarize(0.05))
+        row = device("trajectory", seed=4).run([noisy], repetitions=16).result().rows[0]
+        journal = JobJournal(str(tmp_path))
+        journal.checkpoint_row(0, row)
+        with open(journal.wal_path, "rb") as handle:
+            payload = handle.read()[_WAL_HEADER.size :]
+        opcodes = {op.name for op, _, _ in pickletools.genops(payload)}
+        assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ"}
+        assert journal.load_row(0)["samples"].samples == row["samples"].samples
+
     def test_other_sample_rows_are_stored_as_they_are(self, tmp_path):
         from repro.circuits import GridQubit
         from repro.simulator.results import SampleResult

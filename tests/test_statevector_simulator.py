@@ -8,15 +8,11 @@ from repro.circuits import (
     Circuit,
     H,
     LineQubit,
-    Rx,
     Ry,
     X,
-    Z,
-    amplitude_damp,
     bit_flip,
     depolarize,
 )
-from repro.densitymatrix import DensityMatrixSimulator
 from repro.statevector import StateVectorSimulator
 
 
@@ -85,22 +81,7 @@ class TestSampling:
 
 
 class TestTrajectories:
-    def test_trajectory_preserves_norm(self, noisy_bell_circuit, state_vector_simulator):
-        result = state_vector_simulator.simulate_trajectory(noisy_bell_circuit, seed=3)
-        assert np.linalg.norm(result.state_vector) == pytest.approx(1.0)
-
-    def test_trajectory_average_matches_density_matrix(self):
-        q = LineQubit(0)
-        circuit = Circuit([H(q)])
-        circuit.append(amplitude_damp(0.4).on(q))
-        simulator = StateVectorSimulator(seed=5)
-        average = np.zeros((2, 2), dtype=complex)
-        num_trajectories = 800
-        for index in range(num_trajectories):
-            state = simulator.simulate_trajectory(circuit, seed=index).state_vector
-            average += np.outer(state, state.conj()) / num_trajectories
-        expected = DensityMatrixSimulator().simulate(circuit).density_matrix
-        assert np.allclose(average, expected, atol=0.06)
+    """Noisy samples come from the trajectory engine, one trajectory per shot."""
 
     def test_noisy_sampling_distribution(self):
         q = LineQubit(0)
@@ -110,3 +91,32 @@ class TestTrajectories:
         samples = simulator.sample(circuit, 2000, seed=9)
         zeros = samples.bitstring_counts().get("0", 0)
         assert 0.18 < zeros / 2000 < 0.32
+
+    def test_zero_repetitions_return_empty_result(self, noisy_bell_circuit):
+        samples = StateVectorSimulator(seed=1).sample(noisy_bell_circuit, 0)
+        assert len(samples) == 0
+        assert samples.qubits == noisy_bell_circuit.all_qubits()
+
+    @pytest.mark.parametrize(
+        "num_qubits, repetitions, chunks",
+        [(3, 1000, [1000]), (14, 10, [4, 4, 2]), (17, 3, [1, 1, 1])],
+    )
+    def test_engine_chunks_hold_one_mebibyte(self, monkeypatch, num_qubits, repetitions, chunks):
+        """Chunks hold max(1, 2**16 >> n) trajectories: the backend's 2^n footprint."""
+        from repro.trajectory import simulator as trajectory
+
+        seen = []
+        engine = trajectory.final_state_chunks
+
+        def recording(*args, **kwargs):
+            for states in engine(*args, **kwargs):
+                seen.append(states.shape)
+                yield states
+
+        monkeypatch.setattr(trajectory, "final_state_chunks", recording)
+        q = LineQubit.range(num_qubits)
+        circuit = Circuit([H(q[0])])
+        circuit.append(depolarize(0.1).on(q[0]))
+        samples = StateVectorSimulator(seed=3).sample(circuit, repetitions, qubit_order=q)
+        assert len(samples) == repetitions
+        assert seen == [(rows, 2 ** num_qubits) for rows in chunks]

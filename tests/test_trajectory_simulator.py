@@ -92,6 +92,23 @@ class TestSimulate:
         result = TrajectorySimulator(seed=1).simulate_trajectory(circuit, seed=5)
         assert np.linalg.norm(result.state_vector) == pytest.approx(1.0)
 
+    def test_trajectory_preserves_norm(self, noisy_bell_circuit):
+        result = TrajectorySimulator().simulate_trajectory(noisy_bell_circuit, seed=3)
+        assert np.linalg.norm(result.state_vector) == pytest.approx(1.0)
+
+    def test_trajectory_average_matches_density_matrix(self):
+        q = LineQubit(0)
+        circuit = Circuit([H(q)])
+        circuit.append(amplitude_damp(0.4).on(q))
+        simulator = TrajectorySimulator(seed=5)
+        average = np.zeros((2, 2), dtype=complex)
+        num_trajectories = 800
+        for index in range(num_trajectories):
+            state = simulator.simulate_trajectory(circuit, seed=index).state_vector
+            average += np.outer(state, state.conj()) / num_trajectories
+        expected = DensityMatrixSimulator().simulate(circuit).density_matrix
+        assert np.allclose(average, expected, atol=0.06)
+
     def test_bit_flip_branch_statistics(self):
         q = LineQubit(0)
         circuit = Circuit([X(q)])
