@@ -32,7 +32,6 @@ The per-item result *rows* are plain dicts (see
 from __future__ import annotations
 
 import math
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -50,9 +49,8 @@ from ..errors import (
     ReproError,
     RequestTypeError,
 )
-from ..knowledge.cache import CompiledCircuitCache
 from ..linalg.tensor_ops import bits_to_index
-from ..simulator.kc_simulator import _binding_key, _encoding_fingerprint
+from ..simulator.kc_simulator import _binding_key
 from ..simulator.results import SampleResult, sample_from_probabilities
 from .faults import FaultInjector, ItemFailure, RetryPolicy
 from .journal import JobJournal
@@ -418,18 +416,18 @@ def _evaluate_items(
 
 def _worker_backend(payload: Dict):
     """Construct the backend instance inside a worker process."""
-    options = dict(payload["backend_options"])
-    if payload["backend"] == KC_BACKEND and payload.get("cache_dir"):
-        options["cache"] = CompiledCircuitCache(directory=payload["cache_dir"])
-    return create_backend(payload["backend"], seed=payload["request"].seed, **options)
+    return create_backend(
+        payload["backend"], seed=payload["request"].seed, **payload["backend_options"]
+    )
 
 
 def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
     """Task body: evaluate one chunk of a group's items.
 
     Inline tasks carry this process's live backend (``sim``) and the group's
-    shared memo — they never cross a process boundary.  Pooled tasks name the backend instead and hydrate a
-    fresh instance inside the worker.
+    shared memo — they never cross a process boundary.  Pooled tasks name
+    the backend instead and build a fresh instance inside the worker; a
+    knowledge-compilation task's memo carries its group's compile.
     """
     sim = payload["sim"] if "sim" in payload else _worker_backend(payload)
     return _evaluate_items(
@@ -441,25 +439,6 @@ def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
         attempt=payload.get("attempt", 0),
         memo=payload.get("memo"),
     )
-
-
-def persist_compile(sim, compiled, directory: str, qubit_order=None, initial_bits=None) -> None:
-    """Write a compiled artifact where pool workers will look for it."""
-    disk = CompiledCircuitCache(directory=directory)
-    key = sim.cache_key_for(
-        compiled.circuit,
-        qubit_order=qubit_order,
-        initial_bits=initial_bits,
-        elide_internal=compiled.elided,
-    )
-    if disk.load_payload(key) is None:
-        disk.store_payload(
-            key,
-            {
-                "arithmetic_circuit": compiled.arithmetic_circuit,
-                "fingerprint": _encoding_fingerprint(compiled.encoding),
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -841,8 +820,8 @@ class Device:
         guarded = fault_tolerant(
             request.retry, request.item_timeout, journal, request.on_error, prefailures
         )
-        tasks, cleanup = self._tasks(groups, request, guarded)
-        job = submit(
+        tasks = self._tasks(groups, request, guarded)
+        return submit(
             tasks,
             jobs=request.jobs,
             block=request.block,
@@ -854,14 +833,6 @@ class Device:
             preloaded_rows=list(preloaded.items()),
             prefailures=prefailures,
         )
-        if cleanup is not None:
-            if request.block:
-                cleanup.cleanup()
-            else:
-                # Keep the temporary cache alive as long as the job handle;
-                # TemporaryDirectory's finalizer removes it afterwards.
-                job._owned_tmpdir = cleanup
-        return job
 
     # ------------------------------------------------------------------
     def _plan(
@@ -914,31 +885,20 @@ class Device:
             group.add(index, circuit, resolver, decision.reason)
         return list(groups.values()), prefailures
 
-    def _tasks(
-        self, groups: List[_Group], request: RunRequest, guarded: bool
-    ) -> Tuple[List[Tuple], Optional[tempfile.TemporaryDirectory]]:
-        """The plan's scheduler tasks, plus a temporary cache to clean up.
+    def _tasks(self, groups: List[_Group], request: RunRequest, guarded: bool) -> List[Tuple]:
+        """The plan's scheduler tasks.
 
         Inline tasks carry one item each with this device's live backend and
         a per-group memo, so per-item dispatch stays compile-once.  Pooled
-        tasks hydrate their backend inside the worker: every distinct
+        tasks build their backend inside the worker: every distinct
         knowledge-compilation topology is compiled (or fetched from the
-        simulator's cache) once here and persisted to a cache directory the
-        workers load instead of recompiling.  Plain pooled jobs pack several
-        items into each task; ``guarded`` (fault-tolerant) jobs retry, time
-        out and checkpoint per item, so their tasks carry one item.
+        simulator's cache) once here and shipped in each of its tasks'
+        memos, so workers rebind that compile and never compile themselves.
+        Plain pooled jobs pack several items into each task; ``guarded``
+        (fault-tolerant) jobs retry, time out and checkpoint per item, so
+        their tasks carry one item.
         """
         inline = runs_inline(request.jobs, request.block, request.item_timeout)
-        cleanup: Optional[tempfile.TemporaryDirectory] = None
-        cache_dir: Optional[str] = None
-        if not inline and any(group.backend == KC_BACKEND for group in groups):
-            cache = self.backend_instance(KC_BACKEND).cache
-            if cache is not None and cache.directory is not None:
-                cache_dir = cache.directory
-            else:
-                cleanup = tempfile.TemporaryDirectory(prefix="repro-device-cache-")
-                cache_dir = cleanup.name
-
         jobs = max(1, request.jobs)
         chunk_size = 1
         if not (inline or guarded):
@@ -957,17 +917,13 @@ class Device:
                     qubit_order=request.qubit_order,
                     initial_bits=request.initial_bits,
                 )
-                persist_compile(
-                    sim, master, cache_dir,
-                    qubit_order=request.qubit_order,
-                    initial_bits=request.initial_bits,
-                )
                 lane = {
                     "backend_options": {
                         "order_method": sim.order_method,
                         "elide_internal": sim.elide_internal,
+                        "burn_in_sweeps": sim.burn_in_sweeps,
                     },
-                    "cache_dir": cache_dir,
+                    "memo": {"master": master},
                 }
             else:
                 lane = {"backend_options": self._backend_options.get(backend, {})}
@@ -978,7 +934,7 @@ class Device:
                     lane, backend=backend, circuits=group.circuits, items=chunk, request=request
                 )
                 tasks.append((_run_chunk, payload, indices, f"item-{indices[0]}"))
-        return tasks, cleanup
+        return tasks
 
     def __repr__(self) -> str:
         if self.backend == "auto":

@@ -3,7 +3,7 @@
 A :class:`JobJournal` is a per-job directory holding one *manifest*
 describing the submission well enough to re-create it, plus an append-only
 *write-ahead log* of content-fingerprinted item checkpoints.  The
-durability discipline mirrors the PR 3 compiled-circuit cache:
+durability discipline:
 
 * the manifest is written to a temporary name and published with
   ``os.replace``, so a reader (or a crash) can never observe a torn pickle;

@@ -1,7 +1,7 @@
 """Audited atomic-write helpers (the only sanctioned raw-write site).
 
-Every persisted artifact in ``src/repro`` — journal manifests, compiled
-payloads, benchmark emitters, DIMACS dumps — must be written so that a
+Every persisted artifact in ``src/repro`` — journal manifests, benchmark
+emitters, DIMACS dumps — must be written so that a
 crash at *any* instruction leaves either the old file or the new file,
 never a torn hybrid.  The discipline is the classic one:
 
@@ -16,9 +16,8 @@ future multi-process service gateway) never collide; last replace wins,
 and every observer sees a complete file.
 
 The ``atomic-write`` reprolint rule flags any ``open(..., "w")`` outside
-this module and the two audited append-only writers
-(``JobJournal.checkpoint_row``'s ``O_APPEND`` fingerprinted WAL and
-``CompiledCircuitCache.store_payload``).
+this module and the audited append-only writer
+(``JobJournal.checkpoint_row``'s ``O_APPEND`` fingerprinted WAL).
 """
 
 from __future__ import annotations

@@ -92,15 +92,18 @@ class QuantumBayesNet(BayesianNetwork):
         )
 
 
-def _deterministic_initial_table(bit: int) -> np.ndarray:
-    table = np.zeros(2, dtype=complex)
-    table[bit] = 1.0
-    return table
+class ConstantTable:
+    """A parameter-independent table: the same entries for every resolver.
 
+    A module-level callable rather than a lambda, so networks (and the
+    compiled circuits holding them) pickle.
+    """
 
-def _make_builder(function):
-    """Tiny helper so closures capture loop variables by value."""
-    return function
+    def __init__(self, entries: np.ndarray):
+        self.entries = np.asarray(entries, dtype=complex)
+
+    def __call__(self, resolver: Optional[ParamResolver]) -> np.ndarray:
+        return self.entries.copy()
 
 
 class GatherTable:
@@ -186,7 +189,7 @@ def circuit_to_bayesnet(
             name,
             cardinality=2,
             parents=[],
-            table_builder=_make_builder(lambda resolver, b=int(bit): _deterministic_initial_table(b)),
+            table_builder=ConstantTable(np.eye(2)[int(bit)]),
             kind="initial",
             label=f"{qubit} initial",
         )
@@ -313,7 +316,7 @@ def _add_general_gate(
             new_names[j],
             cardinality=2,
             parents=[],
-            table_builder=_make_builder(lambda resolver: np.ones(2, dtype=complex)),
+            table_builder=ConstantTable(np.ones(2)),
             kind="qubit",
             label=f"{op.gate.name} output {j} on {qubit}",
         )
@@ -360,9 +363,7 @@ def _add_noise_operation(
         rv_name,
         cardinality=num_branches,
         parents=[],
-        table_builder=_make_builder(
-            lambda resolver, m=num_branches: np.ones(m, dtype=complex)
-        ),
+        table_builder=ConstantTable(np.ones(num_branches)),
         kind="noise",
         label=f"{op.channel.name} branch on {qubit}",
     )

@@ -55,8 +55,8 @@ from .noise import NoiseChannel, NoiseOperation
 from .parameters import ParameterExpression, ParameterValue, ParamResolver, Symbol, resolve
 from .qubits import Qubit
 
-#: Bump when the canonical description or compiled on-disk format changes, so
-#: stale persistent cache entries are never reused across formats.
+#: Bump when the canonical description changes, so keys built under
+#: different descriptions never collide.
 TOPOLOGY_FORMAT_VERSION = 1
 
 _ROUND_DIGITS = 12

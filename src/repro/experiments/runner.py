@@ -8,10 +8,9 @@ text tables.  The harness is spec-driven and parallel:
   entry points as ``QUICK_RUNS`` / ``FULL_RUNS`` — lists of
   ``(function_name, kwargs)`` pairs — and the runner materializes them into
   :class:`ExperimentSpec` objects;
-* specs run on a **worker-process pool** (``--jobs``), each worker hydrating
-  compiled circuits from a shared on-disk
-  :mod:`compiled-circuit cache <repro.knowledge.cache>` so a topology
-  compiled by one experiment is reused by every other;
+* specs run on a **worker-process pool** (``--jobs``); each worker compiles
+  what its specs need into its own in-memory
+  :mod:`compiled-circuit cache <repro.knowledge.cache>`;
 * results are printed in spec order regardless of completion order, and
   every driver uses fixed seeds, so output values (timings aside) are
   deterministic and independent of ``--jobs``.
@@ -26,12 +25,10 @@ import argparse
 import importlib
 import os
 import sys
-import tempfile
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..api import scheduler
 from ..api.faults import RetryPolicy
-from ..knowledge import cache as compile_cache
 from .common import ExperimentResult
 
 #: Driver modules consulted for ``QUICK_RUNS`` / ``FULL_RUNS``, in report order.
@@ -86,36 +83,21 @@ def execute_spec(spec: ExperimentSpec) -> List[ExperimentResult]:
     return list(outcome) if isinstance(outcome, list) else [outcome]
 
 
-def _worker_init(cache_dir: Optional[str]) -> None:
-    """Point this process's default compile cache at the shared directory."""
-    if cache_dir and os.environ.get(compile_cache.CACHE_DIR_ENV) != cache_dir:
-        os.environ[compile_cache.CACHE_DIR_ENV] = cache_dir
-        compile_cache.configure_default(directory=cache_dir)
-
-
 def _spec_task(payload: Dict) -> List:
-    """Scheduler task: hydrate the shared cache, run one spec."""
-    _worker_init(payload.get("cache_dir"))
+    """Scheduler task: run one spec."""
     return [(payload["index"], execute_spec(payload["spec"]))]
 
 
 def run_specs(
     specs: Sequence[ExperimentSpec],
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
     retries: int = 0,
 ) -> List[ExperimentResult]:
     """Execute ``specs`` and return their results flattened, in spec order.
 
     The specs are submitted as one job to the unified scheduler
-    (:mod:`repro.api.scheduler`).  With ``jobs > 1`` its pool workers share
-    ``cache_dir`` (a temporary directory, removed on return, when omitted)
-    as an on-disk compiled-circuit cache: the first worker to need a
-    topology compiles and persists it, the rest hydrate the pickle.  A
-    serial run executes inline; with an explicit ``cache_dir`` it points
-    this process's default cache at that directory, so repeated invocations
-    reuse compiles across runs, and without one it leaves the process's
-    cache as it is.
+    (:mod:`repro.api.scheduler`): with ``jobs > 1`` on its worker pool, and
+    with ``jobs=1`` inline in this process, with no pickling.
 
     ``retries > 0`` re-runs specs whose workers crash or hit transient
     errors (up to ``retries`` extra attempts each); every spec re-runs
@@ -124,25 +106,11 @@ def run_specs(
     """
     retry = RetryPolicy(max_attempts=retries + 1) if retries > 0 else None
     jobs = max(1, min(jobs, len(specs)))
-    cleanup: Optional[tempfile.TemporaryDirectory] = None
-    if cache_dir is None and jobs > 1:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-runner-cache-")
-        cache_dir = cleanup.name
-    try:
-        tasks = [
-            (
-                _spec_task,
-                {"index": index, "spec": spec, "cache_dir": cache_dir},
-                (index,),
-                f"spec-{spec.name}",
-            )
-            for index, spec in enumerate(specs)
-        ]
-        # jobs=1 runs the tasks inline in this process, with no pickling.
-        blocks = scheduler.submit(tasks, jobs=jobs, block=True, retry=retry).result()
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+    tasks = [
+        (_spec_task, {"index": index, "spec": spec}, (index,), f"spec-{spec.name}")
+        for index, spec in enumerate(specs)
+    ]
+    blocks = scheduler.submit(tasks, jobs=jobs, block=True, retry=retry).result()
     return [result for block in blocks for result in block]
 
 
@@ -154,13 +122,12 @@ def default_jobs() -> int:
 def run_all(
     quick: bool = False,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     retries: int = 0,
 ) -> List[ExperimentResult]:
     """Run every experiment and return the collected results."""
     if jobs is None:
         jobs = default_jobs()
-    return run_specs(build_specs(quick=quick), jobs=jobs, cache_dir=cache_dir, retries=retries)
+    return run_specs(build_specs(quick=quick), jobs=jobs, retries=retries)
 
 
 def main(argv=None) -> int:
@@ -169,10 +136,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: min(4, cpu count); 1 disables the pool)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="shared compiled-circuit cache directory (default: a fresh temporary directory)",
     )
     parser.add_argument(
         "--only", action="append", default=None, metavar="NAME",
@@ -191,9 +154,7 @@ def main(argv=None) -> int:
             print(spec.name)
         return 0
     jobs = arguments.jobs if arguments.jobs is not None else default_jobs()
-    for result in run_specs(
-        specs, jobs=jobs, cache_dir=arguments.cache_dir, retries=arguments.retries
-    ):
+    for result in run_specs(specs, jobs=jobs, retries=arguments.retries):
         print(result.summary())
         print()
     return 0

@@ -462,7 +462,7 @@ class ArithmeticCircuit:
         return complex(roots[0]), derivatives[0]
 
     # ------------------------------------------------------------------
-    # Pickling (persistent compiled-circuit cache)
+    # Pickling (compiled circuits shipped to pooled workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict:
         """Pickle everything but the scratch buffers and cone plans.

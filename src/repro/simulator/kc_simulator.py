@@ -16,7 +16,6 @@ iterations only re-bind weight values.
 from __future__ import annotations
 
 import copy
-import hashlib
 import itertools
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -41,25 +40,6 @@ from .results import DensityMatrixResult, SampleResult, StateVectorResult
 #: Sentinel distinguishing "use the process-wide shared cache" (the default)
 #: from an explicit ``cache=None`` (caching disabled).
 USE_DEFAULT_CACHE = object()
-
-
-def _encoding_fingerprint(encoding: CNFEncoding) -> str:
-    """Cheap structural fingerprint validating disk-cached compiles.
-
-    The polynomial front end (circuit -> Bayesian network -> CNF) is re-run
-    on every disk-cache load; a stored arithmetic circuit is only accepted if
-    the freshly built encoding matches the one it was compiled from, so a
-    stale or foreign cache file degrades to a recompile rather than a wrong
-    answer.
-    """
-    description = (
-        encoding.cnf.num_vars,
-        encoding.cnf.num_clauses,
-        tuple(encoding.weight_variables),
-        tuple(sorted(encoding.forced_literals)),
-        tuple(sorted((name, tuple(bits)) for name, bits in encoding.node_bits.items())),
-    )
-    return hashlib.sha256(repr(description).encode("utf-8")).hexdigest()
 
 
 def _binding_key(resolver: Optional[ParamResolver]) -> Optional[Tuple]:
@@ -520,8 +500,8 @@ class KnowledgeCompilationSimulator(Simulator):
         Compiled-circuit cache consulted by :meth:`compile_circuit`.  The
         default is the process-wide shared
         :class:`~repro.knowledge.cache.CompiledCircuitCache`; pass an
-        explicit instance for isolation (e.g. one with a disk directory for
-        cross-process sweeps) or ``None`` to disable caching entirely.
+        explicit instance for isolation or ``None`` to disable caching
+        entirely.
     """
 
     name = "knowledge_compilation"
@@ -553,27 +533,6 @@ class KnowledgeCompilationSimulator(Simulator):
         return self._cache_setting  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def cache_key_for(
-        self,
-        circuit: Circuit,
-        qubit_order: Optional[Sequence[Qubit]] = None,
-        initial_bits: Optional[Sequence[int]] = None,
-        elide_internal: Optional[bool] = None,
-    ) -> str:
-        """The cache key ``compile_circuit`` would use for this compile.
-
-        Combines the circuit's topology fingerprint with this simulator's
-        ordering heuristic and elision setting — everything that determines
-        the compiled artifact.
-        """
-        elide = self.elide_internal if elide_internal is None else elide_internal
-        canonical = canonicalize_circuit(circuit, qubit_order=qubit_order, initial_bits=initial_bits)
-        return self._cache_key(canonical.topology_key, elide)
-
-    def _cache_key(self, topology_key: str, elide: bool) -> str:
-        """The single source of truth for the cache-key format."""
-        return f"{topology_key}-{self.order_method}-e{int(elide)}"
-
     def compile_circuit(
         self,
         circuit: Circuit,
@@ -618,12 +577,10 @@ class KnowledgeCompilationSimulator(Simulator):
         if cache is None:
             master = self._compile_template(canonical.template, qubit_order, initial_bits, elide)
         else:
-            key = self._cache_key(canonical.topology_key, elide)
+            key = f"{canonical.topology_key}-{self.order_method}-e{int(elide)}"
             master = cache.lookup(key)
             if master is None:
-                master = self._compile_template(
-                    canonical.template, qubit_order, initial_bits, elide, cache=cache, key=key
-                )
+                master = self._compile_template(canonical.template, qubit_order, initial_bits, elide)
                 cache.store(key, master)
         return master.rebound_for(circuit, canonical.bindings, qubit_order)
 
@@ -633,58 +590,33 @@ class KnowledgeCompilationSimulator(Simulator):
         qubit_order: Optional[Sequence[Qubit]],
         initial_bits: Optional[Sequence[int]],
         elide: bool,
-        cache: Optional[CompiledCircuitCache] = None,
-        key: Optional[str] = None,
     ) -> CompiledCircuit:
-        """Run the full pipeline on a canonical template circuit.
-
-        The polynomial front end (Bayesian network + CNF encoding) always
-        runs; the exponential d-DNNF compile is skipped when ``cache`` holds
-        a disk payload for ``key`` whose encoding fingerprint matches.
-        """
+        """Run the full pipeline on a canonical template circuit."""
         network = circuit_to_bayesnet(template, qubit_order=qubit_order, initial_bits=initial_bits)
         encoding = encode_bayesnet(network)
-        fingerprint = _encoding_fingerprint(encoding)
+        compiler = KnowledgeCompiler(order_method=self.order_method)
+        state_bits = [bit for bits in encoding.node_bits.values() for bit in bits]
+        try:
+            root, manager, _stats = compiler.compile(encoding.cnf, decision_variables=state_bits)
+        except (RecursionError, MemoryError, ValueError) as error:
+            raise CompilationError(
+                f"d-DNNF compilation failed for a {len(template.all_qubits())}-qubit "
+                f"circuit ({self.order_method} ordering): {error}"
+            ) from error
 
-        arithmetic_circuit: Optional[ArithmeticCircuit] = None
-        if cache is not None and key is not None:
-            payload = cache.load_payload(key)
-            if payload is not None and payload.get("fingerprint") == fingerprint:
-                candidate = payload.get("arithmetic_circuit")
-                if isinstance(candidate, ArithmeticCircuit):
-                    arithmetic_circuit = candidate
+        if elide:
+            elidable: List[int] = []
+            finals = set(network.final_node_names)
+            for node in network.nodes:
+                if node.kind in ("initial", "qubit") and node.name not in finals:
+                    elidable.extend(encoding.bits_of(node.name))
+            root = forget(manager, root, elidable)
+            keep_vars = sorted(set(encoding.cnf.variables()) - set(elidable))
+        else:
+            keep_vars = sorted(encoding.cnf.variables())
 
-        if arithmetic_circuit is None:
-            compiler = KnowledgeCompiler(order_method=self.order_method)
-            state_bits = [bit for bits in encoding.node_bits.values() for bit in bits]
-            try:
-                root, manager, _stats = compiler.compile(
-                    encoding.cnf, decision_variables=state_bits
-                )
-            except (RecursionError, MemoryError, ValueError) as error:
-                raise CompilationError(
-                    f"d-DNNF compilation failed for a {len(template.all_qubits())}-qubit "
-                    f"circuit ({self.order_method} ordering): {error}"
-                ) from error
-
-            if elide:
-                elidable: List[int] = []
-                finals = set(network.final_node_names)
-                for node in network.nodes:
-                    if node.kind in ("initial", "qubit") and node.name not in finals:
-                        elidable.extend(encoding.bits_of(node.name))
-                root = forget(manager, root, elidable)
-                keep_vars = sorted(set(encoding.cnf.variables()) - set(elidable))
-            else:
-                keep_vars = sorted(encoding.cnf.variables())
-
-            root = smooth(manager, root, keep_vars)
-            arithmetic_circuit = ArithmeticCircuit(root, encoding.cnf.num_vars)
-            if cache is not None and key is not None:
-                cache.store_payload(
-                    key, {"arithmetic_circuit": arithmetic_circuit, "fingerprint": fingerprint}
-                )
-
+        root = smooth(manager, root, keep_vars)
+        arithmetic_circuit = ArithmeticCircuit(root, encoding.cnf.num_vars)
         return CompiledCircuit(template, network, encoding, arithmetic_circuit, elide, self.order_method)
 
     # ------------------------------------------------------------------

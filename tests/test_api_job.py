@@ -11,9 +11,13 @@ The satellite contract of the Device/Job redesign:
   plain, retried, partial and checkpointed (``seed + index`` fan-out is
   independent of scheduling);
 * a plain pooled job contains a SIGKILLed worker: only that task fails,
-  with ``WorkerCrashedError``, and the other tasks keep their rows.
+  with ``WorkerCrashedError``, and the other tasks keep their rows;
+* pooled knowledge-compilation tasks rebind the compile shipped in their
+  payload with the device simulator's own settings, under ``fork`` and
+  ``spawn`` alike.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -23,13 +27,18 @@ import pytest
 
 from repro import (
     CNOT,
+    ZZ,
     Circuit,
+    Device,
     H,
     JobCancelledError,
     JobTimeoutError,
+    KnowledgeCompilationSimulator,
     LineQubit,
+    ParamResolver,
     RetryPolicy,
     Rx,
+    Symbol,
     TransientError,
     UnsupportedCircuitError,
     depolarize,
@@ -315,3 +324,50 @@ class TestCancelRaces:
         job.wait(timeout=60)
         with pytest.raises(JobCancelledError):
             job.result()
+
+
+def _noisy_sweep():
+    """A noisy ansatz and four parameter points sharing one compile."""
+    q = LineQubit.range(2)
+    circuit = Circuit(
+        [H(q[0]), ZZ(Symbol("g"))(q[0], q[1]), Rx(Symbol("b"))(q[1])]
+    ).with_noise(lambda: depolarize(0.02))
+    points = [ParamResolver({"g": 0.3 + 0.2 * k, "b": 1.1 - 0.15 * k}) for k in range(4)]
+    return circuit, points
+
+
+class TestPooledKnowledgeCompilation:
+    @pytest.mark.parametrize("construction", ["instance", "options"])
+    def test_pooled_workers_sample_with_the_device_burn_in(self, construction):
+        def build():
+            if construction == "options":
+                return device("kc", seed=4, burn_in_sweeps=9)
+            simulator = KnowledgeCompilationSimulator(burn_in_sweeps=9)
+            return Device(
+                "knowledge_compilation",
+                seed=4,
+                instances={"knowledge_compilation": simulator},
+            )
+
+        circuit, points = _noisy_sweep()
+        options = dict(params=points, repetitions=60, seed=23, sampling="gibbs")
+        serial = build().run(circuit, jobs=1, **options).result()
+        pooled = build().run(circuit, jobs=2, **options).result(timeout=120)
+        assert serial.counts() == pooled.counts()
+
+    def test_spawned_workers_match_serial_run(self, monkeypatch):
+        # Spawned workers receive their payload pickled, compile included.
+        circuit, points = _noisy_sweep()
+        options = dict(
+            params=points,
+            observables=["probabilities", "samples"],
+            repetitions=60,
+            seed=23,
+            sampling="gibbs",
+        )
+        serial = device("kc", seed=4).run(circuit, jobs=1, **options).result()
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(scheduler.multiprocessing, "get_context", lambda *args: spawn)
+        pooled = device("kc", seed=4).run(circuit, jobs=2, **options).result(timeout=120)
+        assert np.array_equal(serial.probabilities(), pooled.probabilities())
+        assert serial.counts() == pooled.counts()

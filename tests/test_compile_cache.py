@@ -1,18 +1,17 @@
-"""Compiled-circuit cache correctness: topology keys, disk round trips,
-parameter rebinding and parallel-harness determinism."""
+"""Compiled-circuit cache correctness: topology keys, parameter rebinding,
+compile pickling and parallel-harness determinism."""
 
-import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, LineQubit, ParamResolver, Symbol
 from repro.circuits.gates import CNOT, H, Rx, Ry, Rz, X, ZZ
-from repro.circuits.noise import depolarize, phase_damp
+from repro.circuits.noise import amplitude_damp, depolarize
 from repro.circuits.topology import canonicalize_circuit, circuit_topology_key
 from repro.api.device import Device
 from repro.experiments import runner
-from repro.knowledge import cache as compile_cache
 from repro.knowledge.cache import CompiledCircuitCache
 from repro.knowledge.compiler import KnowledgeCompiler
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
@@ -188,43 +187,7 @@ class TestCacheRebinding:
         assert np.abs(empirical - probabilities).sum() < 0.35  # loose TVD sanity bound
 
 
-class TestDiskCache:
-    def test_round_trip_equality(self, tmp_path):
-        q = LineQubit.range(3)
-        g, b = Symbol("g"), Symbol("b")
-        circuit = Circuit(
-            [H(x) for x in q] + [ZZ(2 * g)(q[0], q[1]), Rx(b)(q[2])]
-        ).with_noise(lambda: phase_damp(0.2))
-        resolver = ParamResolver({"g": 0.44, "b": 1.3})
-
-        first_cache = CompiledCircuitCache(directory=str(tmp_path))
-        first = KnowledgeCompilationSimulator(seed=1, cache=first_cache).compile_circuit(circuit)
-        expected = first.probabilities(resolver)
-        assert any(name.endswith(".pkl") for name in os.listdir(tmp_path))
-
-        # A fresh cache over the same directory models a new process.
-        second_cache = CompiledCircuitCache(directory=str(tmp_path))
-        second = KnowledgeCompilationSimulator(seed=1, cache=second_cache).compile_circuit(circuit)
-        assert second_cache.stats.disk_hits == 1
-        assert np.max(np.abs(second.probabilities(resolver) - expected)) < 1e-12
-        assert np.max(np.abs(second.density_matrix(resolver) - first.density_matrix(resolver))) < 1e-12
-
-    def test_corrupt_payload_degrades_to_recompile(self, tmp_path):
-        circuit = _ansatz_circuit(symbols=False)
-        cache = CompiledCircuitCache(directory=str(tmp_path))
-        simulator = KnowledgeCompilationSimulator(cache=cache)
-        key = simulator.cache_key_for(circuit)
-        simulator.compile_circuit(circuit)
-        path = tmp_path / f"{key}.pkl"
-        assert path.exists()
-        path.write_bytes(b"not a pickle")
-
-        fresh_cache = CompiledCircuitCache(directory=str(tmp_path))
-        compiled = KnowledgeCompilationSimulator(cache=fresh_cache).compile_circuit(circuit)
-        assert fresh_cache.stats.disk_hits == 0
-        reference = np.abs(StateVectorSimulator().simulate(circuit).state_vector) ** 2
-        assert np.max(np.abs(compiled.probabilities() - reference)) < 1e-10
-
+class TestMemoryCache:
     def test_lru_eviction_keeps_bound(self):
         cache = CompiledCircuitCache(max_entries=2)
         simulator = KnowledgeCompilationSimulator(cache=cache)
@@ -233,51 +196,55 @@ class TestDiskCache:
             simulator.compile_circuit(Circuit([H(q[0])] * depth))
         assert len(cache) == 2
 
-    def test_unpicklable_payload_never_leaks_temp_files(self, tmp_path):
-        # A payload pickling failure must degrade to "not cached" — no
-        # exception, no orphaned .tmp file, no torn destination file.
-        cache = CompiledCircuitCache(directory=str(tmp_path))
-        cache.store_payload("bad-key", {"value": lambda: None})
-        leftovers = os.listdir(tmp_path)
-        assert leftovers == []
-        assert cache.load_payload("bad-key") is None
 
-    def test_failed_write_preserves_previous_payload(self, tmp_path):
-        cache = CompiledCircuitCache(directory=str(tmp_path))
-        cache.store_payload("key", {"value": 1})
-        cache.store_payload("key", {"value": lambda: None})  # fails to pickle
-        payload = cache.load_payload("key")
-        assert payload is not None and payload["value"] == 1
+NOISE = {
+    "ideal": None,
+    "depolarizing": lambda: depolarize(0.005),
+    "amplitude_damping": lambda: amplitude_damp(0.05),
+}
 
-    def test_concurrent_writers_never_produce_torn_reads(self, tmp_path):
-        # Many threads hammering the same key: every read observes a complete
-        # payload (os.replace publication), never a partial pickle.
-        import threading
 
-        cache = CompiledCircuitCache(directory=str(tmp_path))
-        blob = {"data": list(range(5000))}
-        errors = []
+class TestCompiledCircuitPickle:
+    """A compile survives a pickle round trip bit for bit (pooled tasks ship it)."""
 
-        def writer(worker):
-            for iteration in range(20):
-                cache.store_payload("shared", dict(blob, worker=worker, i=iteration))
+    @staticmethod
+    def _compiles(noise):
+        """(master, its canonical resolver, rebound view) for one noise model."""
+        q = LineQubit.range(2)
 
-        def reader():
-            for _ in range(200):
-                payload = cache.load_payload("shared")
-                if payload is not None and payload["data"] != blob["data"]:
-                    errors.append("torn read")
+        def circuit(g, b):
+            built = Circuit([H(q[0]), ZZ(g)(q[0], q[1]), Rx(b)(q[1])])
+            return built if noise is None else built.with_noise(noise)
 
-        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
-        threads += [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        final = cache.load_payload("shared")
-        assert final is not None and final["data"] == blob["data"]
-        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        first, second = circuit(0.37, 1.1), circuit(0.9, 0.4)
+        cache = CompiledCircuitCache()
+        simulator = KnowledgeCompilationSimulator(cache=cache)
+        simulator.compile_circuit(first)
+        (master,) = cache._entries.values()
+        view = simulator.compile_circuit(second)
+        assert cache.stats.memory_hits == 1
+        return master, canonicalize_circuit(first).bind(None), view
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("which", ["master", "view"])
+    def test_round_trip_is_bit_identical(self, noise, which):
+        master, master_resolver, view = self._compiles(NOISE[noise])
+        compiled, resolver = (master, master_resolver) if which == "master" else (view, None)
+        restored = pickle.loads(pickle.dumps(compiled))
+
+        assert np.array_equal(restored.probabilities(resolver), compiled.probabilities(resolver))
+        bits = compiled._all_bitstrings()
+        branches = None
+        if compiled.noise_variables:
+            branches = np.zeros((1, len(compiled.noise_variables)), dtype=np.int64)
+        assert np.array_equal(
+            restored.amplitudes(bits, branches, resolver),
+            compiled.amplitudes(bits, branches, resolver),
+        )
+        simulator = KnowledgeCompilationSimulator()
+        expected = simulator.sample(compiled, 300, resolver=resolver, seed=5)
+        actual = simulator.sample(restored, 300, resolver=resolver, seed=5)
+        assert actual.bitstring_counts() == expected.bitstring_counts()
 
 
 KC = "knowledge_compilation"
@@ -414,30 +381,13 @@ def _strip_timings(results):
 
 
 class TestRunnerDeterminism:
-    def test_parallel_runner_fixed_seeds(self, tmp_path):
+    def test_parallel_runner_fixed_seeds(self):
         specs = runner.build_specs(quick=True, only=["bell_example", "figure1"])
         assert len(specs) == 2
-        first = runner.run_specs(specs, jobs=2, cache_dir=str(tmp_path / "a"))
-        second = runner.run_specs(specs, jobs=2, cache_dir=str(tmp_path / "b"))
+        first = runner.run_specs(specs, jobs=2)
+        second = runner.run_specs(specs, jobs=2)
         serial = runner.run_specs(specs, jobs=1)
         assert _strip_timings(first) == _strip_timings(second) == _strip_timings(serial)
-
-    @pytest.mark.parametrize("jobs, retries", [(1, 1), (4, 0)])
-    def test_inline_run_leaves_process_cache_alone(self, monkeypatch, jobs, retries):
-        """A run that executes in this process makes no temporary cache directory.
-
-        Such a directory is removed on return, so pointing this process's
-        default cache at it would leave the cache on a deleted path.
-        """
-        # setenv records the variable's prior state, so teardown restores it
-        # even if the run sets it.
-        monkeypatch.setenv(compile_cache.CACHE_DIR_ENV, "unset")
-        monkeypatch.delenv(compile_cache.CACHE_DIR_ENV)
-        monkeypatch.setattr(compile_cache, "_default_cache", CompiledCircuitCache())
-        specs = runner.build_specs(quick=True, only=["bell_example"])
-        runner.run_specs(specs, jobs=jobs, retries=retries)
-        assert compile_cache.CACHE_DIR_ENV not in os.environ
-        assert compile_cache.default_cache().directory is None
 
     def test_build_specs_filters_and_rejects_typos(self):
         names = [spec.name for spec in runner.build_specs(quick=True)]

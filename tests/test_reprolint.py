@@ -249,6 +249,14 @@ class TestAtomicWrite:
         """
         assert not lint(wal, AtomicWriteRule, path="src/repro/api/journal.py")
 
+    def test_compile_cache_has_no_audited_writer(self):
+        source = """
+        class CompiledCircuitCache:
+            def store_payload(self, key, payload):
+                open(key + '.pkl', 'wb')
+        """
+        assert lint(source, AtomicWriteRule, path="src/repro/knowledge/cache.py")
+
     def test_unaudited_code_in_audited_file_is_still_flagged(self):
         source = """
         class JobJournal:

@@ -485,11 +485,11 @@ class AtomicWriteRule(Rule):
         "(write-temp + fsync + os.replace, or the O_APPEND fingerprinted WAL)"
     )
     invariant = (
-        "Journal manifests, compile-cache payloads and result artifacts must "
-        "never be observable half-written: a crash mid-write must cost work, "
-        "not correctness.  Raw open(..., 'w') can tear; only the audited "
-        "helpers in repro.atomicio (and the two audited WAL/cache appenders) "
-        "may touch the filesystem in write mode."
+        "Journal manifests and result artifacts must never be observable "
+        "half-written: a crash mid-write must cost work, not correctness.  "
+        "Raw open(..., 'w') can tear; only the audited helpers in "
+        "repro.atomicio (and the audited journal WAL appender) may touch the "
+        "filesystem in write mode."
     )
 
     #: (path regex, audited qualnames) — raw writes inside these are the
@@ -497,7 +497,6 @@ class AtomicWriteRule(Rule):
     AUDITED: Tuple[Tuple[str, Set[str]], ...] = (
         (r"(^|/)repro/atomicio\.py$", {"*"}),
         (r"(^|/)repro/api/journal\.py$", {"JobJournal.checkpoint_row"}),
-        (r"(^|/)repro/knowledge/cache\.py$", {"CompiledCircuitCache.store_payload"}),
     )
 
     WRITE_MODE = re.compile(r"[wax+]")
