@@ -364,7 +364,8 @@ def _evaluate_items(
     group in the same process* (the inline loop runs one task per item): it
     carries the group's compile and the per-position rebind / shared-tableau
     memos that a single batched call keeps in locals, so per-item dispatch
-    stays compile-once.
+    stays compile-once.  A pooled knowledge-compilation task's memo arrives
+    holding the group's compile under ``"master"``.
     """
     rows: List[Tuple[int, Dict]] = []
     # KC: the group's compile under "master" plus rebound views by circuit
